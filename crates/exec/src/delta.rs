@@ -3,30 +3,41 @@
 //! A [`DeltaPlan`] is a maintenance-shaped mirror of a [`PhysPlan`]:
 //! scans, filters, and joins (every physical join flavor collapses to
 //! one delta join node; [`PhysPlan::SemiReduce`] wrappers are dropped
-//! because reduction is semantically transparent). Each join node keeps
-//! the state a delta needs — both inputs indexed by their equi-keys,
-//! per-row match counts for the preserving/filtering kinds, and a
-//! derivation refcount on its output so null-pad collisions (the
-//! all-null full-outer pad meeting a real all-null row) resolve exactly
-//! as the execution engine resolves them.
+//! because reduction is semantically transparent).
 //!
-//! The delta algebra per join kind, writing `Δ` for a signed row set
-//! and `pad(t)` for the null-extension of `t`:
+//! ## One rule for every join kind
 //!
-//! * **Inner** — `Δ(L ⋈ R) = ΔL ⋈ R ∪ L' ⋈ ΔR` (`L'` is `L` after
-//!   `ΔL` is applied; processing is sequential, left phase first).
-//! * **Left outer** — as inner, plus a per-left-row match count `m(l)`:
-//!   when `m(l)` crosses `0 → 1` the pad `l∘null` is retracted, when it
-//!   crosses `1 → 0` the pad is emitted.
-//! * **Full outer** — left-outer bookkeeping on both sides (`m(l)` and
-//!   `m(r)`, pads on either side).
+//! Identity (10), `X → Y = (X − Y) ∪ (X ▷ Y)`, splits a left outerjoin
+//! into its matched pairs plus a fixed action for each row with zero
+//! matches. Every kind maintained here has that shape: over relations
+//! annotated with match counts `m`, outer-, semi- and antijoin differ
+//! only in a row's *lone* output, which comes and goes as `m` crosses
+//! `0 ↔ 1`:
+//!
+//! | kind       | pairs | left row `l`            | right row `r`           |
+//! |------------|-------|-------------------------|-------------------------|
+//! | inner      | yes   | —                       | —                       |
+//! | left outer | yes   | `l∘null` while `m(l)=0` | —                       |
+//! | full outer | yes   | `l∘null` while `m(l)=0` | `null∘r` while `m(r)=0` |
+//! | semi       | no    | `l` while `m(l)>0`      | —                       |
+//! | anti       | no    | `l` while `m(l)=0`      | —                       |
+//!
+//! So each join keeps its inputs as two annotated sides and applies a
+//! signed batch arriving on either side with one function. The delta
+//! algebra it implements, writing `Δ` for a signed row set:
+//!
+//! * **Inner** — `Δ(L ⋈ R) = L ⋈ ΔR ∪ ΔL ⋈ R'` (`R'` is `R` after
+//!   `ΔR` is applied: batches apply sequentially, right input first).
+//! * **Left outer** — as inner, plus the pad `l∘null`: retracted when
+//!   `m(l)` crosses `0 → 1`, emitted when it crosses `1 → 0`.
+//! * **Full outer** — left-outer bookkeeping on both sides.
 //! * **Semi** — output is the left rows with `m(l) > 0`; only the
 //!   `0 ↔ 1` transitions of `m(l)` emit or retract `l`.
 //! * **Anti** — output is the left rows with `m(l) = 0`; the same
 //!   transitions act in reverse.
 //!
 //! A null equi-key never matches (3VL, like every join in the engine),
-//! so null-keyed rows only ever contribute pads or anti rows.
+//! so null-keyed rows only ever contribute lone rows.
 //!
 //! Views are registered and owned one level up (the `fro` facade);
 //! this module is pure mechanism: build a [`DeltaPlan`] from a
@@ -42,7 +53,7 @@ use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::schema::SchemaRef;
 use fro_algebra::{Pred, Tuple, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A signed, set-level change to one relation: rows that became
@@ -121,70 +132,63 @@ impl RowDelta {
 /// in one bucket, matching decided by the residual alone (how
 /// nested-loop joins are modelled).
 fn key_of(t: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = t.get(c);
-        if v.is_null() {
-            return None;
-        }
-        key.push(v.clone());
+    cols.iter()
+        .map(|&c| Some(t.get(c)).filter(|v| !v.is_null()).cloned())
+        .collect()
+}
+
+/// Index of a join's left input in its per-side arrays.
+const LEFT: usize = 0;
+/// Index of a join's right input in its per-side arrays.
+const RIGHT: usize = 1;
+
+/// The module docs' table: whether a kind outputs matched pairs, and
+/// when each side's rows have a lone output — `Some(true)` while the
+/// row has matches, `Some(false)` while it has none. A lone output is
+/// the row null-extended to the join's output scheme: its pad when the
+/// kind outputs pairs, the row itself when it does not.
+fn rule(kind: JoinKind) -> (bool, [Option<bool>; 2]) {
+    match kind {
+        JoinKind::Inner => (true, [None, None]),
+        JoinKind::LeftOuter => (true, [Some(false), None]),
+        JoinKind::FullOuter => (true, [Some(false), Some(false)]),
+        JoinKind::Semi => (false, [Some(true), None]),
+        JoinKind::Anti => (false, [Some(false), None]),
     }
-    Some(key)
 }
 
-/// One side of a delta join, indexed by its equi-key. Null-keyed rows
-/// are held apart: they never match, but full-outer pads and deletions
-/// still need to find them.
+/// One annotated side of a delta join: key → row → the row's match
+/// count on the other side. Null-keyed rows never match, so they are
+/// held apart, uncounted.
 #[derive(Debug, Clone, Default)]
-pub struct SideIndex {
-    by_key: HashMap<Vec<Value>, BTreeSet<Tuple>>,
-    null_keyed: BTreeSet<Tuple>,
+struct Side {
+    by_key: HashMap<Vec<Value>, HashMap<Tuple, u64>>,
+    null_keyed: HashSet<Tuple>,
 }
 
-impl SideIndex {
-    fn insert(&mut self, key: Option<Vec<Value>>, t: Tuple) {
+impl Side {
+    fn insert(&mut self, key: Option<Vec<Value>>, t: Tuple, count: u64) {
         let fresh = match key {
-            Some(k) => self.by_key.entry(k).or_default().insert(t),
+            Some(k) => self.by_key.entry(k).or_default().insert(t, count).is_none(),
             None => self.null_keyed.insert(t),
         };
         debug_assert!(fresh, "side rows are sets; duplicate insert");
     }
 
-    fn remove(&mut self, key: &Option<Vec<Value>>, t: &Tuple) {
-        match key {
-            Some(k) => {
-                if let Some(set) = self.by_key.get_mut(k) {
-                    set.remove(t);
-                    if set.is_empty() {
-                        self.by_key.remove(k);
-                    }
-                }
-            }
-            None => {
-                self.null_keyed.remove(t);
-            }
+    /// Remove `t`, returning the match count it held.
+    fn remove(&mut self, key: Option<&Vec<Value>>, t: &Tuple) -> u64 {
+        let Some(k) = key else {
+            self.null_keyed.remove(t);
+            return 0;
+        };
+        let Some(bucket) = self.by_key.get_mut(k) else {
+            return 0;
+        };
+        let count = bucket.remove(t).unwrap_or(0);
+        if bucket.is_empty() {
+            self.by_key.remove(k);
         }
-    }
-
-    fn bucket(&self, key: &[Value]) -> impl Iterator<Item = &Tuple> {
-        self.by_key.get(key).into_iter().flatten()
-    }
-
-    /// Every row of this side, null-keyed rows included.
-    pub fn rows(&self) -> impl Iterator<Item = &Tuple> {
-        self.by_key.values().flatten().chain(self.null_keyed.iter())
-    }
-
-    /// Number of rows held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.by_key.values().map(BTreeSet::len).sum::<usize>() + self.null_keyed.len()
-    }
-
-    /// True when the side holds no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty() && self.null_keyed.is_empty()
+        count
     }
 }
 
@@ -193,7 +197,7 @@ impl SideIndex {
 /// the scan (rendered — predicate display is injective enough for a
 /// cache key, and a miss only costs a rebuild).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SideKey {
+struct SideKey {
     rel: String,
     cols: Vec<usize>,
     pred: String,
@@ -203,12 +207,12 @@ pub struct SideKey {
 /// queries' graphs overlap (one a prefix or extension of the other, in
 /// Finkelstein's sense), the shared base relations produce identical
 /// `(rel, keys, filter)` leaf sides — the second registration clones
-/// the pooled index instead of re-scanning, re-filtering and
-/// re-hashing the base table. The owner invalidates pooled entries
-/// whenever their base relation mutates.
+/// the pooled side (every match count zero) instead of re-scanning,
+/// re-filtering and re-hashing the base table. The owner invalidates
+/// pooled entries whenever their base relation mutates.
 #[derive(Debug, Default)]
 pub struct BuildSidePool {
-    sides: HashMap<SideKey, Arc<SideIndex>>,
+    sides: HashMap<SideKey, Arc<Side>>,
     hits: u64,
 }
 
@@ -249,25 +253,22 @@ impl BuildSidePool {
     }
 }
 
-/// Per-node state of a delta join.
+/// Per-node state of a delta join; arrays are indexed by [`LEFT`] and
+/// [`RIGHT`].
 #[derive(Debug)]
 struct JoinNode {
-    kind: JoinKind,
-    left: usize,
-    right: usize,
-    left_cols: Vec<usize>,
-    right_cols: Vec<usize>,
+    /// Whether matched pairs are output ([`rule`]).
+    pairs: bool,
+    /// When each side's rows have a lone output ([`rule`]).
+    lone: [Option<bool>; 2],
+    inputs: [usize; 2],
+    /// Equi-key columns of each side.
+    cols: [Vec<usize>; 2],
     residual: Pred,
     /// `left ++ right` — the schema residuals evaluate against.
     pair_schema: SchemaRef,
-    left_width: usize,
-    right_width: usize,
-    left_index: SideIndex,
-    right_index: SideIndex,
-    /// Current match count per left row (all kinds except `Inner`).
-    match_left: HashMap<Tuple, i64>,
-    /// Current match count per right row (`FullOuter` only).
-    match_right: HashMap<Tuple, i64>,
+    widths: [usize; 2],
+    sides: [Side; 2],
     /// Derivation refcount per output tuple: pads and real rows can
     /// collide on all-null tuples, exactly like in the engine.
     out: HashMap<Tuple, i64>,
@@ -276,11 +277,123 @@ struct JoinNode {
     right_leaf: Option<SideKey>,
 }
 
+impl JoinNode {
+    /// The one delta rule: push `rows` arriving on `side` — inserted
+    /// when `insert`, else deleted — through the join, recording the
+    /// output change in `d`. Deleted rows must be present and inserted
+    /// rows novel (the mutation APIs guarantee it).
+    fn push(
+        &mut self,
+        side: usize,
+        rows: Vec<Tuple>,
+        insert: bool,
+        d: &mut RowDelta,
+    ) -> Result<(), ExecError> {
+        let other = 1 - side;
+        for t in rows {
+            let key = key_of(&t, &self.cols[side]);
+            let mut matched = 0;
+            let bucket = key
+                .as_ref()
+                .and_then(|k| self.sides[other].by_key.get_mut(k));
+            for (m, count) in bucket.into_iter().flatten() {
+                let (l, r) = if side == LEFT { (&t, m) } else { (m, &t) };
+                let pair = l.concat(r);
+                let hit = self.residual.eval(&pair, &self.pair_schema);
+                if !hit.map_err(ExecError::Algebra)?.is_true() {
+                    continue;
+                }
+                matched += 1;
+                if self.pairs {
+                    derive(&mut self.out, pair, insert, d);
+                }
+                *count = if insert { *count + 1 } else { *count - 1 };
+                let crossed = if insert { *count == 1 } else { *count == 0 };
+                if let Some(when_matched) = self.lone[other].filter(|_| crossed) {
+                    let row = lone_row(self.pairs, other, m, self.widths);
+                    derive(&mut self.out, row, insert == when_matched, d);
+                }
+            }
+            if let Some(when_matched) = self.lone[side] {
+                if (matched > 0) == when_matched {
+                    let row = lone_row(self.pairs, side, &t, self.widths);
+                    derive(&mut self.out, row, insert, d);
+                }
+            }
+            if insert {
+                self.sides[side].insert(key, t, matched);
+            } else {
+                let held = self.sides[side].remove(key.as_ref(), &t);
+                debug_assert_eq!(held, matched, "match count drifted");
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit the lone rows of a right side adopted from the pool: its
+    /// rows arrived without being pushed, all unmatched since the left
+    /// side is still empty. (Without an adopted side, a no-op.)
+    fn emit_adopted(&mut self, d: &mut RowDelta) {
+        if self.lone[RIGHT] == Some(false) {
+            let right = &self.sides[RIGHT];
+            for r in right
+                .by_key
+                .values()
+                .flat_map(HashMap::keys)
+                .chain(&right.null_keyed)
+            {
+                let pad = lone_row(true, RIGHT, r, self.widths);
+                derive(&mut self.out, pad, true, d);
+            }
+        }
+    }
+}
+
+/// Row `t` of `side` as its lone output: null-extended to the pair
+/// scheme when the join outputs `pairs`, else the row itself.
+fn lone_row(pairs: bool, side: usize, t: &Tuple, widths: [usize; 2]) -> Tuple {
+    match (pairs, side) {
+        (false, _) => t.clone(),
+        (true, LEFT) => t.concat(&Tuple::nulls(widths[RIGHT])),
+        (true, _) => Tuple::nulls(widths[LEFT]).concat(t),
+    }
+}
+
+/// Add (`up`) or drop one derivation of output tuple `t`, recording a
+/// set-level insert or delete when its refcount crosses `0 ↔ 1`.
+fn derive(out: &mut HashMap<Tuple, i64>, t: Tuple, up: bool, d: &mut RowDelta) {
+    let c = out.entry(t.clone()).or_insert(0);
+    *c += if up { 1 } else { -1 };
+    debug_assert!(*c >= 0, "retract of underived tuple");
+    match (*c, up) {
+        (1, true) => d.inserts.push(t),
+        (0, false) => {
+            out.remove(&t);
+            d.deletes.push(t);
+        }
+        _ => {}
+    }
+}
+
 #[derive(Debug)]
 enum DeltaNode {
     Scan { rel: String },
     Filter { input: usize, pred: Pred },
     Join(Box<JoinNode>),
+}
+
+/// What one pass over the plan feeds its scans.
+enum Feed<'a> {
+    /// Maintenance: `delta` at scans of `base`, nothing elsewhere.
+    Delta { base: &'a str, delta: &'a RowDelta },
+    /// Seeding: every stored row at every scan not `skip`ped (the
+    /// scans under right sides adopted from `pool`); built leaf right
+    /// sides are contributed to `pool`.
+    Seed {
+        storage: &'a Storage,
+        pool: &'a mut BuildSidePool,
+        skip: Vec<bool>,
+    },
 }
 
 /// A maintenance plan: the delta-operator mirror of one physical plan,
@@ -428,27 +541,23 @@ impl DeltaPlan {
             return None;
         }
         let pair_schema: SchemaRef = Arc::new(ls.concat(&rs).ok()?);
-        let right_leaf = leaf_side_key(right, &right_cols);
-        let out_schema = match kind {
-            JoinKind::Semi | JoinKind::Anti => ls.clone(),
-            _ => pair_schema.clone(),
+        let (pairs, lone) = rule(kind);
+        let out_schema = if pairs {
+            pair_schema.clone()
+        } else {
+            ls.clone()
         };
         let node = JoinNode {
-            kind,
-            left: l,
-            right: r,
-            left_cols,
-            right_cols,
+            pairs,
+            lone,
+            inputs: [l, r],
+            right_leaf: leaf_side_key(right, &right_cols),
+            cols: [left_cols, right_cols],
             residual: residual.clone(),
             pair_schema,
-            left_width: ls.len(),
-            right_width: rs.len(),
-            left_index: SideIndex::default(),
-            right_index: SideIndex::default(),
-            match_left: HashMap::new(),
-            match_right: HashMap::new(),
+            widths: [ls.len(), rs.len()],
+            sides: Default::default(),
             out: HashMap::new(),
-            right_leaf,
         };
         Some(self.push(DeltaNode::Join(Box::new(node)), out_schema))
     }
@@ -458,20 +567,17 @@ impl DeltaPlan {
     pub fn reset(&mut self) {
         for node in &mut self.nodes {
             if let DeltaNode::Join(jn) = node {
-                jn.left_index = SideIndex::default();
-                jn.right_index = SideIndex::default();
-                jn.match_left.clear();
-                jn.match_right.clear();
+                jn.sides = Default::default();
                 jn.out.clear();
             }
         }
     }
 
-    /// Materialize the view from scratch against `storage`, building
-    /// every join's side indexes and match counts along the way. Leaf
-    /// build sides found in `pool` are cloned instead of rebuilt (and
-    /// freshly built ones are contributed back). Returns the full
-    /// result rows (deduplicated, unordered).
+    /// Materialize the view from scratch against `storage`, seeding
+    /// every join's annotated sides along the way. Leaf build sides
+    /// found in `pool` are cloned instead of rebuilt (and freshly built
+    /// ones are contributed back). Returns the full result rows
+    /// (deduplicated, unordered).
     pub fn initialize(
         &mut self,
         storage: &Storage,
@@ -481,65 +587,29 @@ impl DeltaPlan {
         self.reset();
         // Resolve pool hits up front: a hit lets the join skip
         // computing its (leaf) right subtree entirely.
-        let mut pooled: HashMap<usize, SideIndex> = HashMap::new();
-        let mut skip: Vec<bool> = vec![false; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let DeltaNode::Join(jn) = node else { continue };
-            let Some(key) = &jn.right_leaf else { continue };
-            if let Some(side) = pool.sides.get(key) {
-                pool.hits += 1;
-                pooled.insert(id, (**side).clone());
-                mark_subtree(&self.nodes, jn.right, &mut skip);
-            }
-        }
-        let mut outs: Vec<Vec<Tuple>> = Vec::with_capacity(self.nodes.len());
-        for (id, &skipped) in skip.iter().enumerate() {
-            if skipped {
-                outs.push(Vec::new());
+        let mut skip = vec![false; self.nodes.len()];
+        for id in 0..self.nodes.len() {
+            let DeltaNode::Join(jn) = &mut self.nodes[id] else {
                 continue;
-            }
-            let mut node =
-                std::mem::replace(&mut self.nodes[id], DeltaNode::Scan { rel: String::new() });
-            let rows = match &mut node {
-                DeltaNode::Scan { rel } => {
-                    let rows = storage.lookup_named(rel)?.relation().rows().to_vec();
-                    stats.tuples_retrieved += rows.len() as u64;
-                    rows
-                }
-                DeltaNode::Filter { input, pred } => {
-                    let schema = &self.schemas[*input];
-                    let mut kept = Vec::new();
-                    for t in std::mem::take(&mut outs[*input]) {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            kept.push(t);
-                        }
-                    }
-                    kept
-                }
-                DeltaNode::Join(jn) => {
-                    let left_rows = std::mem::take(&mut outs[jn.left]);
-                    let right = match pooled.remove(&id) {
-                        Some(side) => side,
-                        None => {
-                            let mut side = SideIndex::default();
-                            for t in std::mem::take(&mut outs[jn.right]) {
-                                let key = key_of(&t, &jn.right_cols);
-                                side.insert(key, t);
-                                stats.hash_build_rows += 1;
-                            }
-                            if let Some(key) = &jn.right_leaf {
-                                pool.sides.insert(key.clone(), Arc::new(side.clone()));
-                            }
-                            side
-                        }
-                    };
-                    init_join(jn, left_rows, right, stats)?
-                }
             };
-            self.nodes[id] = node;
-            outs.push(rows);
+            let Some(side) = jn.right_leaf.as_ref().and_then(|k| pool.sides.get(k)) else {
+                continue;
+            };
+            pool.hits += 1;
+            jn.sides[RIGHT] = Side::clone(side);
+            // A leaf is a scan, perhaps under a filter: skip the scan.
+            let mut leaf = jn.inputs[RIGHT];
+            while let DeltaNode::Filter { input, .. } = &self.nodes[leaf] {
+                leaf = *input;
+            }
+            skip[leaf] = true;
         }
-        Ok(outs.pop().expect("plan has at least one node"))
+        let feed = Feed::Seed {
+            storage,
+            pool,
+            skip,
+        };
+        Ok(self.propagate(feed, stats)?.inserts)
     }
 
     /// Propagate one base-relation delta through the plan, updating
@@ -552,390 +622,111 @@ impl DeltaPlan {
         delta: &RowDelta,
         stats: &mut ExecStats,
     ) -> Result<RowDelta, ExecError> {
+        Ok(self
+            .propagate(Feed::Delta { base, delta }, stats)?
+            .normalize())
+    }
+
+    /// The one post-order pass behind [`DeltaPlan::initialize`] and
+    /// [`DeltaPlan::apply`]: scans take what `feed` gives them, filters
+    /// keep what their predicate accepts, and joins push their right
+    /// then their left input through the delta rule — right first, so
+    /// seeding a left outerjoin never emits a pad only to retract it,
+    /// and a built leaf side is pooled before any count moves. Seeding
+    /// charges the rows it retrieves and hashes into sides; maintenance
+    /// charges every delta row a node ingests. Returns the root's delta.
+    fn propagate(
+        &mut self,
+        mut feed: Feed<'_>,
+        stats: &mut ExecStats,
+    ) -> Result<RowDelta, ExecError> {
+        let seeding = matches!(feed, Feed::Seed { .. });
         let mut deltas: Vec<RowDelta> = Vec::with_capacity(self.nodes.len());
-        for id in 0..self.nodes.len() {
-            let mut node =
-                std::mem::replace(&mut self.nodes[id], DeltaNode::Scan { rel: String::new() });
-            let d = match &mut node {
+        for (id, node) in self.nodes.iter_mut().enumerate() {
+            let d = match node {
                 DeltaNode::Scan { rel } => {
-                    if rel.as_str() == base {
-                        stats.delta_rows_in += delta.len() as u64;
-                        delta.clone()
+                    let d = match &feed {
+                        Feed::Delta { base, delta } if rel == base => (*delta).clone(),
+                        Feed::Seed { storage, skip, .. } if !skip[id] => RowDelta::from_inserts(
+                            storage.lookup_named(rel)?.relation().rows().to_vec(),
+                        ),
+                        _ => RowDelta::default(),
+                    };
+                    let ingested = if seeding {
+                        &mut stats.tuples_retrieved
                     } else {
-                        RowDelta::default()
-                    }
-                }
-                DeltaNode::Filter { input, pred } => {
-                    let schema = &self.schemas[*input];
-                    let child = std::mem::take(&mut deltas[*input]);
-                    stats.delta_rows_in += child.len() as u64;
-                    let mut d = RowDelta::default();
-                    for t in child.inserts {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            d.inserts.push(t);
-                        }
-                    }
-                    for t in child.deletes {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            d.deletes.push(t);
-                        }
-                    }
+                        &mut stats.delta_rows_in
+                    };
+                    *ingested += d.len() as u64;
                     d
                 }
+                DeltaNode::Filter { input, pred } => {
+                    let child = std::mem::take(&mut deltas[*input]);
+                    if !seeding {
+                        stats.delta_rows_in += child.len() as u64;
+                    }
+                    let schema = &self.schemas[*input];
+                    let keep = |rows: Vec<Tuple>| -> Result<Vec<Tuple>, ExecError> {
+                        let mut kept = Vec::new();
+                        for t in rows {
+                            if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
+                                kept.push(t);
+                            }
+                        }
+                        Ok(kept)
+                    };
+                    RowDelta {
+                        inserts: keep(child.inserts)?,
+                        deletes: keep(child.deletes)?,
+                    }
+                }
                 DeltaNode::Join(jn) => {
-                    let dl = std::mem::take(&mut deltas[jn.left]);
-                    let dr = std::mem::take(&mut deltas[jn.right]);
-                    stats.delta_rows_in += (dl.len() + dr.len()) as u64;
-                    apply_join(jn, dl, dr)?
+                    let [dl, dr] = jn.inputs.map(|i| std::mem::take(&mut deltas[i]));
+                    let ingested = if seeding {
+                        &mut stats.hash_build_rows
+                    } else {
+                        &mut stats.delta_rows_in
+                    };
+                    *ingested += (dl.len() + dr.len()) as u64;
+                    let mut d = RowDelta::default();
+                    if seeding {
+                        jn.emit_adopted(&mut d);
+                    }
+                    jn.push(RIGHT, dr.deletes, false, &mut d)?;
+                    jn.push(RIGHT, dr.inserts, true, &mut d)?;
+                    if let (Feed::Seed { pool, .. }, Some(key)) = (&mut feed, &jn.right_leaf) {
+                        // All counts are zero: the left side is empty.
+                        let right = &jn.sides[RIGHT];
+                        pool.sides
+                            .entry(key.clone())
+                            .or_insert_with(|| Arc::new(right.clone()));
+                    }
+                    jn.push(LEFT, dl.deletes, false, &mut d)?;
+                    jn.push(LEFT, dl.inserts, true, &mut d)?;
+                    d.normalize()
                 }
             };
-            self.nodes[id] = node;
             deltas.push(d);
         }
-        Ok(deltas
-            .pop()
-            .expect("plan has at least one node")
-            .normalize())
+        Ok(deltas.pop().expect("plan has at least one node"))
     }
 }
 
 /// The pool key of a right subtree that is a bare or filtered scan.
 fn leaf_side_key(plan: &PhysPlan, cols: &[usize]) -> Option<SideKey> {
-    match plan {
-        PhysPlan::Scan { rel } => Some(SideKey {
-            rel: rel.clone(),
-            cols: cols.to_vec(),
-            pred: String::new(),
-        }),
+    let (rel, pred) = match plan {
+        PhysPlan::Scan { rel } => (rel, String::new()),
         PhysPlan::Filter { input, pred } => match input.as_ref() {
-            PhysPlan::Scan { rel } => Some(SideKey {
-                rel: rel.clone(),
-                cols: cols.to_vec(),
-                pred: pred.to_string(),
-            }),
-            _ => None,
+            PhysPlan::Scan { rel } => (rel, pred.to_string()),
+            _ => return None,
         },
-        _ => None,
-    }
-}
-
-/// Mark `root` and its descendants in `skip`.
-fn mark_subtree(nodes: &[DeltaNode], root: usize, skip: &mut [bool]) {
-    skip[root] = true;
-    match &nodes[root] {
-        DeltaNode::Scan { .. } => {}
-        DeltaNode::Filter { input, .. } => mark_subtree(nodes, *input, skip),
-        DeltaNode::Join(jn) => {
-            mark_subtree(nodes, jn.left, skip);
-            mark_subtree(nodes, jn.right, skip);
-        }
-    }
-}
-
-/// Matching rows of `index` for probe row `probe`: equi-key bucket
-/// filtered by the residual over the concatenated pair. `probe_is_left`
-/// fixes the concatenation order.
-fn matching_rows(
-    index: &SideIndex,
-    key: &Option<Vec<Value>>,
-    probe: &Tuple,
-    probe_is_left: bool,
-    residual: &Pred,
-    pair_schema: &SchemaRef,
-) -> Result<Vec<Tuple>, ExecError> {
-    let Some(key) = key else {
-        return Ok(Vec::new());
+        _ => return None,
     };
-    let mut out = Vec::new();
-    for cand in index.bucket(key) {
-        let pair = if probe_is_left {
-            probe.concat(cand)
-        } else {
-            cand.concat(probe)
-        };
-        if residual
-            .eval(&pair, pair_schema)
-            .map_err(ExecError::Algebra)?
-            .is_true()
-        {
-            out.push(cand.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Bump the derivation refcount of `t`, recording a set-level insert
-/// on the `0 → 1` transition.
-fn emit(out: &mut HashMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
-    let c = out.entry(t.clone()).or_insert(0);
-    *c += 1;
-    if *c == 1 {
-        d.inserts.push(t);
-    }
-}
-
-/// Drop one derivation of `t`, recording a set-level delete on the
-/// `1 → 0` transition.
-fn retract(out: &mut HashMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
-    match out.get_mut(&t) {
-        Some(c) => {
-            *c -= 1;
-            if *c == 0 {
-                out.remove(&t);
-                d.deletes.push(t);
-            }
-        }
-        None => debug_assert!(false, "retract of underived tuple"),
-    }
-}
-
-/// Initial join materialization: `right` is already indexed (built or
-/// pooled); insert every left row against it, then complete the
-/// full-outer right pads. Populates `jn`'s indexes, match counts, and
-/// output refcounts; returns the join's full output.
-fn init_join(
-    jn: &mut JoinNode,
-    left_rows: Vec<Tuple>,
-    right: SideIndex,
-    stats: &mut ExecStats,
-) -> Result<Vec<Tuple>, ExecError> {
-    jn.right_index = right;
-    let mut sink = RowDelta::default();
-    for l in left_rows {
-        let key = key_of(&l, &jn.left_cols);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            &l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            jn.match_left.insert(l.clone(), ms.len() as i64);
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    if jn.kind == JoinKind::FullOuter {
-                        *jn.match_right.entry(r.clone()).or_insert(0) += 1;
-                    }
-                    emit(&mut jn.out, l.concat(r), &mut sink);
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    emit(
-                        &mut jn.out,
-                        l.concat(&Tuple::nulls(jn.right_width)),
-                        &mut sink,
-                    );
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut sink);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut sink);
-                }
-            }
-        }
-        jn.left_index.insert(key, l);
-        stats.hash_build_rows += 1;
-    }
-    if jn.kind == JoinKind::FullOuter {
-        let pads: Vec<Tuple> = jn
-            .right_index
-            .rows()
-            .filter(|r| jn.match_right.get(*r).copied().unwrap_or(0) == 0)
-            .map(|r| Tuple::nulls(jn.left_width).concat(r))
-            .collect();
-        for pad in pads {
-            emit(&mut jn.out, pad, &mut sink);
-        }
-    }
-    Ok(jn.out.keys().cloned().collect())
-}
-
-/// One incremental step of a delta join: apply the left delta against
-/// the old right state, then the right delta against the updated left
-/// state. Returns the set-level output delta.
-fn apply_join(jn: &mut JoinNode, dl: RowDelta, dr: RowDelta) -> Result<RowDelta, ExecError> {
-    let mut d = RowDelta::default();
-    let (lw, rw) = (jn.left_width, jn.right_width);
-
-    // Phase A: left deletes, then left inserts, against R as it stands.
-    for l in &dl.deletes {
-        let key = key_of(l, &jn.left_cols);
-        jn.left_index.remove(&key, l);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            let mc = jn.match_left.remove(l).unwrap_or(0);
-            debug_assert_eq!(mc as usize, ms.len(), "match count drifted");
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    retract(&mut jn.out, l.concat(r), &mut d);
-                    if jn.kind == JoinKind::FullOuter {
-                        let rc = jn.match_right.entry(r.clone()).or_insert(0);
-                        *rc -= 1;
-                        if *rc == 0 {
-                            emit(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-                        }
-                    }
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    retract(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    retract(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    retract(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-        }
-    }
-    for l in &dl.inserts {
-        let key = key_of(l, &jn.left_cols);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            jn.match_left.insert(l.clone(), ms.len() as i64);
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    emit(&mut jn.out, l.concat(r), &mut d);
-                    if jn.kind == JoinKind::FullOuter {
-                        let rc = jn.match_right.entry(r.clone()).or_insert(0);
-                        *rc += 1;
-                        if *rc == 1 {
-                            retract(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-                        }
-                    }
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    emit(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-        }
-        jn.left_index.insert(key, l.clone());
-    }
-
-    // Phase B: right deletes, then right inserts, against updated L.
-    for r in &dr.deletes {
-        let key = key_of(r, &jn.right_cols);
-        jn.right_index.remove(&key, r);
-        let rc = if jn.kind == JoinKind::FullOuter {
-            jn.match_right.remove(r).unwrap_or(0)
-        } else {
-            0
-        };
-        let ms = matching_rows(
-            &jn.left_index,
-            &key,
-            r,
-            false,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        for l in &ms {
-            match jn.kind {
-                JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                    retract(&mut jn.out, l.concat(r), &mut d);
-                }
-                JoinKind::Semi | JoinKind::Anti => {}
-            }
-            if jn.kind != JoinKind::Inner {
-                let mc = jn.match_left.entry(l.clone()).or_insert(0);
-                *mc -= 1;
-                if *mc == 0 {
-                    match jn.kind {
-                        JoinKind::LeftOuter | JoinKind::FullOuter => {
-                            emit(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                        }
-                        JoinKind::Semi => retract(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Anti => emit(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Inner => unreachable!(),
-                    }
-                }
-            }
-        }
-        if jn.kind == JoinKind::FullOuter && rc == 0 {
-            retract(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-        }
-    }
-    for r in &dr.inserts {
-        let key = key_of(r, &jn.right_cols);
-        let ms = matching_rows(
-            &jn.left_index,
-            &key,
-            r,
-            false,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind == JoinKind::FullOuter {
-            jn.match_right.insert(r.clone(), ms.len() as i64);
-            if ms.is_empty() {
-                emit(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-            }
-        }
-        for l in &ms {
-            match jn.kind {
-                JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                    emit(&mut jn.out, l.concat(r), &mut d);
-                }
-                JoinKind::Semi | JoinKind::Anti => {}
-            }
-            if jn.kind != JoinKind::Inner {
-                let mc = jn.match_left.entry(l.clone()).or_insert(0);
-                *mc += 1;
-                if *mc == 1 {
-                    match jn.kind {
-                        JoinKind::LeftOuter | JoinKind::FullOuter => {
-                            retract(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                        }
-                        JoinKind::Semi => emit(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Anti => retract(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Inner => unreachable!(),
-                    }
-                }
-            }
-        }
-        jn.right_index.insert(key, r.clone());
-    }
-    Ok(d.normalize())
+    Some(SideKey {
+        rel: rel.clone(),
+        cols: cols.to_vec(),
+        pred,
+    })
 }
 
 #[cfg(test)]
@@ -1044,6 +835,33 @@ mod tests {
                 .unwrap();
             apply_to_view(&mut view, &d);
             check_against_engine(&plan, &storage, &dp, &view);
+        }
+    }
+
+    #[test]
+    fn initialize_counters_are_pinned_per_kind() {
+        // R has 3 rows, S has 2: seeding retrieves every base row once
+        // and hashes every row into its join side once (S as the build
+        // side, R as the probe side), for every kind alike. Seeding is
+        // not maintenance, so the delta counters stay at zero.
+        for (kind, rows) in [
+            (JoinKind::Inner, 1),
+            (JoinKind::LeftOuter, 3),
+            (JoinKind::FullOuter, 4),
+            (JoinKind::Semi, 1),
+            (JoinKind::Anti, 2),
+        ] {
+            let storage = storage_rs();
+            let mut dp = DeltaPlan::try_build(&join_plan(kind), &storage).unwrap();
+            let mut stats = ExecStats::new();
+            let init = dp
+                .initialize(&storage, &mut BuildSidePool::new(), &mut stats)
+                .unwrap();
+            assert_eq!(init.len(), rows, "{kind:?} rows");
+            assert_eq!(stats.tuples_retrieved, 5, "{kind:?} tuples_retrieved");
+            assert_eq!(stats.hash_build_rows, 5, "{kind:?} hash_build_rows");
+            assert_eq!(stats.delta_rows_in, 0, "{kind:?} delta_rows_in");
+            assert_eq!(stats.delta_rows_out, 0, "{kind:?} delta_rows_out");
         }
     }
 

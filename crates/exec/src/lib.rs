@@ -62,7 +62,7 @@ pub mod stats;
 pub mod storage;
 
 pub use config::{suggest_partitions, ExecConfig, ExecMode, MAX_PARTITIONS};
-pub use delta::{BuildSidePool, DeltaPlan, RowDelta, SideIndex, SideKey};
+pub use delta::{BuildSidePool, DeltaPlan, RowDelta};
 pub use engine::{execute, execute_with, explain_analyze, explain_analyze_with, ExecError};
 pub use plan::{JoinKind, PhysPlan, ReducePass};
 pub use stats::{ExecStats, PartitionStats};

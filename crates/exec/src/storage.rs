@@ -126,6 +126,34 @@ impl Table {
         Some(novel)
     }
 
+    /// Remove every stored row that appears in `rows`, returning the
+    /// removed rows (possibly none). The survivors keep their stored
+    /// order; the columnar mirror and every index are rebuilt over them
+    /// and the append state is dropped, as for a wholesale replacement.
+    fn remove_rows(&mut self, rows: &[Tuple]) -> Vec<Tuple> {
+        let doomed: HashSet<&Tuple> = rows.iter().collect();
+        let (removed, kept): (Vec<Tuple>, Vec<Tuple>) = self
+            .rel
+            .rows()
+            .iter()
+            .cloned()
+            .partition(|t| doomed.contains(t));
+        if removed.is_empty() {
+            return removed;
+        }
+        let rel = Relation::from_distinct_rows(self.rel.schema().clone(), kept);
+        let indexes = self
+            .indexes
+            .iter()
+            .map(|ix| HashIndex::build(&rel, ix.key_cols().to_vec()))
+            .collect();
+        *self = Table {
+            indexes,
+            ..Table::new(rel)
+        };
+        removed
+    }
+
     /// The underlying relation.
     #[must_use]
     pub fn relation(&self) -> &Relation {
@@ -261,16 +289,32 @@ impl Storage {
     /// per-column distinct counts are all maintained O(|delta|). Bumps
     /// the epoch only when something was stored.
     pub fn append_rows(&mut self, name: &str, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
-        let i = self.interner.rel_id(name)?.index();
-        let table = self
-            .shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))?;
-        let novel = table.append_novel(rows)?;
+        let novel = self.get_named_mut(name)?.append_novel(rows)?;
         if !novel.is_empty() {
             self.epoch += 1;
         }
         Some(novel)
+    }
+
+    /// Delete `rows` from `name`'s table, returning the rows actually
+    /// removed (rows not stored are ignored, so the result can be
+    /// empty) or `None` when the table is unknown. The table keeps its
+    /// indexes, rebuilt over the surviving rows. Bumps the epoch only
+    /// when something was removed.
+    pub fn delete_rows(&mut self, name: &str, rows: &[Tuple]) -> Option<Vec<Tuple>> {
+        let removed = self.get_named_mut(name)?.remove_rows(rows);
+        if !removed.is_empty() {
+            self.epoch += 1;
+        }
+        Some(removed)
+    }
+
+    /// Name-keyed mutable table access for the in-place edit paths.
+    fn get_named_mut(&mut self, name: &str) -> Option<&mut Table> {
+        let i = self.interner.rel_id(name)?.index();
+        self.shards
+            .get_mut(i >> SHARD_BITS)
+            .and_then(|s| s.get_mut(i & SHARD_MASK))
     }
 
     /// The data epoch: incremented by every table insert or index
@@ -365,23 +409,12 @@ impl Storage {
     #[doc(hidden)]
     #[must_use]
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let i = self.interner.rel_id(name)?.index();
-        self.shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))
+        self.get_named_mut(name)
     }
 
     /// Create an index on `rel_name(attrs…)`; `false` if missing.
     pub fn create_index(&mut self, rel_name: &str, attrs: &[Attr]) -> bool {
-        let Some(id) = self.interner.rel_id(rel_name) else {
-            return false;
-        };
-        let i = id.index();
-        let Some(t) = self
-            .shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))
-        else {
+        let Some(t) = self.get_named_mut(rel_name) else {
             return false;
         };
         let built = t.create_index(attrs);

@@ -61,6 +61,13 @@ echo "== standing-query maintenance properties =="
 # a failure names itself).
 cargo test -q --test standing_property
 
+echo "== benchmark self-test (perfbench, tiny scale) =="
+# The benchmark builds against the library's public API; its self-test
+# checks every declared metric is emitted and that a wrong result or a
+# failing query is caught, so an API or behaviour change that would
+# break the benchmark fails here instead of in the benchmark run.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "== EXPLAIN corpus gate =="
 scripts/explain_corpus.sh --check
 # Inverted self-test: a perturbed cost model MUST trip the gate. If

@@ -467,8 +467,7 @@ impl Session {
                     .and_then(|id| storage.get_by_id(id))
                     .is_some_and(|table| table.relation() == rel);
                 if !stored {
-                    register_stats(catalog, name, rel);
-                    storage.insert(name, rel.clone());
+                    register_stats(catalog, name, storage.insert(name, rel.clone()));
                 }
             }
         });

@@ -23,7 +23,7 @@
 use crate::standing::{self, Registry};
 use fro_algebra::{Attr, Relation, Tuple};
 use fro_core::Catalog;
-use fro_exec::{ExecStats, RowDelta, Storage};
+use fro_exec::{ExecStats, RowDelta, Storage, Table};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// One immutable generation of the database: catalog + storage,
@@ -120,8 +120,7 @@ impl SharedDb {
     pub fn insert_table(&self, name: impl Into<String>, rel: Relation) {
         let name = name.into();
         self.mutate(|catalog, storage| {
-            register_stats(catalog, &name, &rel);
-            storage.insert(name, rel);
+            register_stats(catalog, &name, storage.insert(name.as_str(), rel));
         });
     }
 
@@ -142,32 +141,12 @@ impl SharedDb {
     /// [`SharedDb::append_rows`] plus the maintenance work it
     /// triggered, so session handles can attribute their share.
     pub(crate) fn append_rows_traced(&self, name: &str, rows: Vec<Tuple>) -> (bool, ExecStats) {
-        let mut reg = self.standing_lock();
-        let delta = self.mutate(|catalog, storage| {
-            // O(|delta|) storage path: the table's row store, columnar
-            // mirror, indexes, and exact distinct counts are extended
-            // in place — no rebuild, no re-dedup of the base.
-            let novel = storage.append_rows(name, rows)?;
-            if novel.is_empty() {
-                // Every row was a duplicate: nothing changed, keep the
-                // generation (and every epoch) as it is.
-                return Some(RowDelta::default());
-            }
-            let table = storage
-                .rel_id(name)
-                .and_then(|id| storage.get_by_id(id))
-                .expect("table exists: rows were just appended to it");
-            refresh_stats_quiet(catalog, name, table);
-            catalog.bump_row_epoch(name);
-            Some(RowDelta::from_inserts(novel))
-        });
-        match delta {
-            None => (false, ExecStats::new()),
-            Some(d) => {
-                let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
-                (true, stats)
-            }
-        }
+        // O(|delta|) storage path: the table's row store, columnar
+        // mirror, indexes, and exact distinct counts are extended in
+        // place — no rebuild, no re-dedup of the base.
+        self.edit_rows(name, |storage| {
+            storage.append_rows(name, rows).map(RowDelta::from_inserts)
+        })
     }
 
     /// Delete rows from an existing table (rows not present are
@@ -184,23 +163,34 @@ impl SharedDb {
     /// [`SharedDb::delete_rows`] plus the maintenance work it
     /// triggered.
     pub(crate) fn delete_rows_traced(&self, name: &str, rows: &[Tuple]) -> (bool, ExecStats) {
+        self.edit_rows(name, |storage| {
+            storage.delete_rows(name, rows).map(RowDelta::from_deletes)
+        })
+    }
+
+    /// The one row-edit path behind appends and deletes: under the
+    /// registry lock, apply `edit` to storage; when it changed rows,
+    /// refresh the table's statistics quietly, bump its row epoch, and
+    /// fan the delta out to the standing views. An edit that changed
+    /// nothing keeps every epoch as it was. Returns `false` (doing
+    /// nothing) when `edit` found no such table.
+    fn edit_rows(
+        &self,
+        name: &str,
+        edit: impl FnOnce(&mut Storage) -> Option<RowDelta>,
+    ) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
         let delta = self.mutate(|catalog, storage| {
-            let table = storage.rel_id(name).and_then(|id| storage.get_by_id(id))?;
-            let old = table.relation();
-            let doomed: std::collections::HashSet<&Tuple> = rows.iter().collect();
-            let (removed, kept): (Vec<Tuple>, Vec<Tuple>) =
-                old.rows().iter().cloned().partition(|t| doomed.contains(t));
-            if removed.is_empty() {
-                return Some(RowDelta::default());
+            let delta = edit(storage)?;
+            if !delta.is_empty() {
+                let table = storage
+                    .rel_id(name)
+                    .and_then(|id| storage.get_by_id(id))
+                    .expect("table exists: its rows were just edited");
+                refresh_stats_quiet(catalog, name, table);
+                catalog.bump_row_epoch(name);
             }
-            // The survivors were already distinct; their order is the
-            // stored order, so the relation round-trips bit-identically.
-            let rel = Relation::from_distinct_rows(old.schema().clone(), kept);
-            let table = storage.insert(name, rel);
-            refresh_stats_quiet(catalog, name, table);
-            catalog.bump_row_epoch(name);
-            Some(RowDelta::from_deletes(removed))
+            Some(delta)
         });
         match delta {
             None => (false, ExecStats::new()),
@@ -241,13 +231,14 @@ impl SharedDb {
     }
 }
 
-/// Register exact statistics for one relation: row count plus true
-/// per-column distinct counts.
-pub(crate) fn register_stats(catalog: &mut Catalog, name: &str, rel: &Relation) {
-    catalog.add_table(name, rel.schema().clone(), rel.len() as u64);
-    for (c, a) in rel.schema().attrs().iter().enumerate() {
-        let distinct: std::collections::HashSet<_> = rel.rows().iter().map(|t| t.get(c)).collect();
-        catalog.set_distinct(a, distinct.len() as u64);
+/// Register exact statistics for one stored table: row count plus the
+/// exact per-column distinct counts its columnar mirror computed at
+/// load (null, when present, counts as one value).
+pub(crate) fn register_stats(catalog: &mut Catalog, name: &str, table: &Table) {
+    let schema = table.relation().schema();
+    catalog.add_table(name, schema.clone(), table.len() as u64);
+    for (c, a) in schema.attrs().iter().enumerate() {
+        catalog.set_distinct(a, table.columns().column(c).distinct());
     }
 }
 
@@ -256,10 +247,10 @@ pub(crate) fn register_stats(catalog: &mut Catalog, name: &str, rel: &Relation) 
 /// row-epoch granularity instead ([`Catalog::bump_row_epoch`]).
 ///
 /// Reads the exact distinct counts the table's columnar mirror already
-/// maintains (same null-counts-as-one convention as
-/// [`register_stats`]), so refreshing statistics is O(columns), not
-/// O(rows) — which is what keeps the whole append path O(|delta|).
-fn refresh_stats_quiet(catalog: &mut Catalog, name: &str, table: &fro_exec::Table) {
+/// maintains (the same counts [`register_stats`] reads), so refreshing
+/// statistics is O(columns), not O(rows) — which is what keeps the
+/// whole append path O(|delta|).
+fn refresh_stats_quiet(catalog: &mut Catalog, name: &str, table: &Table) {
     catalog.set_rows_quiet(name, table.len() as u64);
     for (c, a) in table.relation().schema().attrs().iter().enumerate() {
         catalog.set_distinct_quiet(a, table.columns().column(c).distinct());
@@ -306,6 +297,37 @@ mod tests {
     }
 
     #[test]
+    fn delete_rows_keeps_hash_indexes() {
+        use fro_testkit::workloads::{star, star5_skew};
+        let (storage, _, q) = star(&star5_skew());
+        let db = SharedDb::from_storage(storage);
+        let session = db.session();
+        assert_eq!(session.prepare(&q).unwrap().run().unwrap().len(), 48);
+        // Each dimension's last row is a stray no good fact row joins,
+        // so deleting it leaves the answer as it was.
+        for i in 1..=4 {
+            let name = format!("D{i}");
+            let s = db.snapshot();
+            let id = s.storage().rel_id(&name).unwrap();
+            let victim = s
+                .storage()
+                .get_by_id(id)
+                .unwrap()
+                .relation()
+                .rows()
+                .last()
+                .cloned();
+            assert!(db.delete_rows(&name, &[victim.unwrap()]));
+            let s = db.snapshot();
+            let table = s.storage().get_by_id(id).unwrap();
+            assert_eq!(table.indexes().len(), 1, "{name} keeps its index");
+        }
+        // The plan still uses the dimension indexes, which must exist.
+        let rows = session.prepare(&q).unwrap().run().unwrap();
+        assert_eq!(rows.len(), 48);
+    }
+
+    #[test]
     fn mutations_are_atomic_to_new_snapshots() {
         let db = SharedDb::new();
         db.insert_table("A", Relation::from_ints("A", &["x"], &[&[1]]));
@@ -315,10 +337,8 @@ mod tests {
         db.mutate(|catalog, storage| {
             let a = Relation::from_ints("A", &["x"], &[&[2], &[3]]);
             let b = Relation::from_ints("B", &["y"], &[&[2], &[3]]);
-            register_stats(catalog, "A", &a);
-            register_stats(catalog, "B", &b);
-            storage.insert("A", a);
-            storage.insert("B", b);
+            register_stats(catalog, "A", storage.insert("A", a));
+            register_stats(catalog, "B", storage.insert("B", b));
         });
         let s = db.snapshot();
         assert_eq!(s.catalog().table("A").unwrap().rows, 2);

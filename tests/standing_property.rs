@@ -5,6 +5,11 @@
 //!   left outer, full outer, semi, anti) keep the maintained view
 //!   bit-identical — rows, order AND schema — to a cold re-execution
 //!   of the same query, under both execution modes;
+//! * the same holds for three-relation nests `(L ⋈ M) k R` and
+//!   `L k (M ⋈ R)` with all three tables mutating, so deltas reach a
+//!   join's input through the join below it — also when the view was
+//!   seeded from a pooled build side (compared up to the column order
+//!   a re-plan picks once statistics move);
 //! * outerjoin bookkeeping retracts the null-padded row the instant
 //!   the last matching partner dies, and re-emits it when a match
 //!   returns;
@@ -50,6 +55,13 @@ fn canonical(rel: &Relation) -> Relation {
     Relation::from_distinct_rows(rel.schema().clone(), rows.into_iter().collect())
 }
 
+/// `cold` in `view`'s column order, canonicalized. A nested query may
+/// be re-planned in another join order once statistics move, which
+/// permutes the result columns but not the relation they hold.
+fn aligned(cold: &Relation, view: &Relation) -> Relation {
+    canonical(&cold.pad_to(view.schema()))
+}
+
 fn int_row(vals: &[i64]) -> Tuple {
     Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect())
 }
@@ -61,9 +73,14 @@ fn null_key_row(payload: i64) -> Tuple {
 /// Two-column tables (join key, payload) so null padding is visible.
 /// Returns a shadow copy of each table's rows — the test's own model
 /// of storage, kept in sync through every append/delete.
-fn seed_tables(session: &Session, rng: &mut Lcg, rows_each: usize) -> [Vec<Tuple>; 2] {
-    let mut shadows: [Vec<Tuple>; 2] = [Vec::new(), Vec::new()];
-    for (slot, name) in ["L", "R"].into_iter().enumerate() {
+fn seed_tables(
+    session: &Session,
+    rng: &mut Lcg,
+    names: &[&str],
+    rows_each: usize,
+) -> Vec<Vec<Tuple>> {
+    let mut shadows = Vec::with_capacity(names.len());
+    for &name in names {
         let rows: Vec<Vec<i64>> = (0..rows_each)
             .map(|i| vec![rng.below(8) as i64, (i as i64) << 1])
             .collect();
@@ -71,14 +88,13 @@ fn seed_tables(session: &Session, rng: &mut Lcg, rows_each: usize) -> [Vec<Tuple
         let key = format!("k{name}");
         let pay = format!("p{name}");
         session.insert_table(name, Relation::from_ints(name, &[&key, &pay], &refs));
-        shadows[slot] = rows.iter().map(|r| int_row(r)).collect();
+        shadows.push(rows.iter().map(|r| int_row(r)).collect());
     }
     shadows
 }
 
-fn joined(kind: usize) -> Query {
-    let p = Pred::eq_attr("L.kL", "R.kR");
-    let (l, r) = (Query::rel("L"), Query::rel("R"));
+/// `l k r` for join kind `k` (an index into [`KINDS`]).
+fn kind_join(kind: usize, l: Query, r: Query, p: Pred) -> Query {
     match kind {
         0 => l.join(r, p),
         1 => l.outerjoin(r, p),
@@ -88,64 +104,173 @@ fn joined(kind: usize) -> Query {
     }
 }
 
+fn joined(kind: usize) -> Query {
+    kind_join(
+        kind,
+        Query::rel("L"),
+        Query::rel("R"),
+        Pred::eq_attr("L.kL", "R.kR"),
+    )
+}
+
+/// Three-relation nests of join kind `kind` over an inner join: with
+/// `inner_left` the inner join feeds the outer join's left input,
+/// `(L ⋈ M) k R`; otherwise its right input, `L k (M ⋈ R)`. Either way
+/// a delta reaches the outer join through the join below it.
+fn nested(kind: usize, inner_left: bool) -> Query {
+    let (l, m, r) = (Query::rel("L"), Query::rel("M"), Query::rel("R"));
+    if inner_left {
+        let lm = l.join(m, Pred::eq_attr("L.kL", "M.kM"));
+        kind_join(kind, lm, r, Pred::eq_attr("M.kM", "R.kR"))
+    } else {
+        let mr = m.join(r, Pred::eq_attr("M.kM", "R.kR"));
+        kind_join(kind, l, mr, Pred::eq_attr("L.kL", "M.kM"))
+    }
+}
+
+/// One random mutation of one of `names`: append a small batch
+/// (sometimes duplicating an existing row, a no-op under set
+/// semantics) or delete an existing row (maybe the last match of some
+/// partner — exercises retraction). `shadows` tracks the new contents.
+fn mutate_randomly(
+    session: &Session,
+    rng: &mut Lcg,
+    names: &[&str],
+    shadows: &mut [Vec<Tuple>],
+    next_pay: &mut i64,
+) {
+    let slot = rng.below(names.len() as u64) as usize;
+    let table = names[slot];
+    if rng.below(3) < 2 {
+        let mut batch = Vec::new();
+        for _ in 0..=rng.below(3) {
+            batch.push(int_row(&[rng.below(10) as i64, *next_pay]));
+            *next_pay += 1;
+        }
+        if rng.below(4) == 0 {
+            if let Some(t) = shadows[slot].first() {
+                batch.push(t.clone());
+            }
+        }
+        for t in &batch {
+            if !shadows[slot].contains(t) {
+                shadows[slot].push(t.clone());
+            }
+        }
+        assert!(session.append_rows(table, batch));
+    } else if !shadows[slot].is_empty() {
+        let at = rng.below(shadows[slot].len() as u64) as usize;
+        let victim = shadows[slot].remove(at);
+        assert!(session.delete_rows(table, &[victim]));
+    }
+}
+
+/// A join shape of the interleaving suite: its name, its tables, its
+/// query per join kind, and the base of its random seeds.
+type Shape = (
+    &'static str,
+    &'static [&'static str],
+    fn(usize) -> Query,
+    u64,
+);
+
 const KINDS: [&str; 5] = ["inner", "leftouter", "fullouter", "semi", "anti"];
 
 #[test]
 fn random_interleavings_stay_bit_identical_to_reexecution() {
-    for (kind, kind_name) in KINDS.iter().enumerate() {
-        for (mode, cfg) in [
-            ("materializing", ExecConfig::default().materializing()),
-            ("pipelined", ExecConfig::default().pipelined()),
-        ] {
-            let db = SharedDb::new();
-            let session = db.session().with_exec_config(cfg);
-            let mut rng = Lcg::new(0xF0 + kind as u64);
-            let mut shadows = seed_tables(&session, &mut rng, 12);
+    // A bare pair, and three-relation nests in which a delta reaches
+    // the outer join through the inner join below it.
+    let shapes: [Shape; 3] = [
+        ("L k R", &["L", "R"], joined, 0xF0),
+        ("(L ⋈ M) k R", &["L", "M", "R"], |k| nested(k, true), 0x3F8),
+        ("L k (M ⋈ R)", &["L", "M", "R"], |k| nested(k, false), 0x3F0),
+    ];
+    for (shape, names, query, seed) in shapes {
+        for (kind, kind_name) in KINDS.iter().enumerate() {
+            for (mode, cfg) in [
+                ("materializing", ExecConfig::default().materializing()),
+                ("pipelined", ExecConfig::default().pipelined()),
+            ] {
+                let db = SharedDb::new();
+                let session = db.session().with_exec_config(cfg);
+                let mut rng = Lcg::new(seed + kind as u64);
+                let mut shadows = seed_tables(&session, &mut rng, names, 12);
 
-            let q = joined(kind);
-            let reg = session.register_standing(&q).unwrap();
-            assert!(!reg.shared, "{kind_name}/{mode}: first registration");
+                let q = query(kind);
+                let reg = session.register_standing(&q).unwrap();
+                let case = format!("{shape}/{kind_name}/{mode}");
+                assert!(!reg.shared, "{case}: first registration");
+                assert!(
+                    db.standing_info(reg.id).unwrap().incremental,
+                    "{case}: delta-maintained"
+                );
 
-            let mut next_pay = 1_000;
-            for step in 0..40 {
-                let slot = (rng.below(2)) as usize;
-                let table = ["L", "R"][slot];
-                if rng.below(3) < 2 {
-                    // Append a small batch, sometimes duplicating an
-                    // existing row (a no-op under set semantics).
-                    let mut batch = Vec::new();
-                    for _ in 0..=rng.below(3) {
-                        batch.push(int_row(&[rng.below(10) as i64, next_pay]));
-                        next_pay += 1;
-                    }
-                    if rng.below(4) == 0 {
-                        if let Some(t) = shadows[slot].first() {
-                            batch.push(t.clone());
-                        }
-                    }
-                    for t in &batch {
-                        if !shadows[slot].contains(t) {
-                            shadows[slot].push(t.clone());
-                        }
-                    }
-                    assert!(session.append_rows(table, batch));
-                } else if !shadows[slot].is_empty() {
-                    // Delete a random existing row (maybe the last
-                    // match of some partner — exercises retraction).
-                    let at = rng.below(shadows[slot].len() as u64) as usize;
-                    let victim = shadows[slot].remove(at);
-                    assert!(session.delete_rows(table, &[victim]));
+                let mut next_pay = 1_000;
+                for step in 0..40 {
+                    mutate_randomly(&session, &mut rng, names, &mut shadows, &mut next_pay);
+
+                    let (view, _) = session.poll_standing(reg.id).unwrap();
+                    let cold = session.prepare(&q).unwrap().run().unwrap();
+                    // A pair must match exactly; a nest may be
+                    // re-planned in another join order.
+                    let want = if names.len() == 2 {
+                        canonical(&cold)
+                    } else {
+                        aligned(&cold, &view)
+                    };
+                    assert_eq!(view, want, "{case}: view diverged at step {step}");
                 }
+                // Every mutation was folded in as a delta: only the
+                // registration materialized the view.
+                assert_eq!(session.maintenance_stats().views_refreshed, 1, "{case}");
+            }
+        }
+    }
+}
 
+#[test]
+fn nested_view_seeded_from_a_pooled_side_is_then_maintained() {
+    const NAMES: [&str; 3] = ["L", "M", "R"];
+    for (kind, kind_name) in KINDS.iter().enumerate() {
+        let db = SharedDb::new();
+        let session = db.session();
+        let mut rng = Lcg::new(0x5EED + kind as u64);
+        let mut shadows = seed_tables(&session, &mut rng, &NAMES, 10);
+
+        // The prefix pools its R build side; the nest `(L ⋈ M) k R`
+        // builds on the same R side (as the outer join's right input,
+        // or the inner one's once reassociated), initializes from the
+        // pool instead of rebuilding, and then maintains deltas.
+        let prefix = Query::rel("M").join(Query::rel("R"), Pred::eq_attr("M.kM", "R.kR"));
+        let q = nested(kind, true);
+        let first = session.register_standing(&prefix).unwrap();
+        let second = session.register_standing(&q).unwrap();
+        assert_ne!(first.id, second.id);
+        assert_eq!(
+            db.standing_counters().build_sides_reused,
+            1,
+            "{kind_name}: the nest reused the prefix's pooled side"
+        );
+
+        let mut next_pay = 1_000;
+        for step in 0..40 {
+            mutate_randomly(&session, &mut rng, &NAMES, &mut shadows, &mut next_pay);
+            for (reg, query) in [(first, &prefix), (second, &q)] {
                 let (view, _) = session.poll_standing(reg.id).unwrap();
-                let cold = session.prepare(&q).unwrap().run().unwrap();
+                let cold = session.prepare(query).unwrap().run().unwrap();
                 assert_eq!(
                     view,
-                    canonical(&cold),
-                    "{kind_name}/{mode}: view diverged at step {step}"
+                    aligned(&cold, &view),
+                    "{kind_name}/{}: diverged at step {step}",
+                    reg.id
                 );
             }
         }
+        assert_eq!(
+            session.maintenance_stats().views_refreshed,
+            2,
+            "{kind_name}: only the two registrations materialized"
+        );
     }
 }
 
@@ -274,7 +399,7 @@ fn concurrent_appends_from_many_handles_converge_and_counters_sum() {
         let db = SharedDb::new();
         let setup = db.session();
         let mut rng = Lcg::new(threads as u64);
-        seed_tables(&setup, &mut rng, 8);
+        seed_tables(&setup, &mut rng, &["L", "R"], 8);
         let q = joined(1); // left outer: padding makes divergence loud
         let reg = setup.register_standing(&q).unwrap();
 
