@@ -193,18 +193,15 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
 /// The combined equality selectivity of the equi-conjuncts between two
 /// relation sets, times the residual selectivity — a name-keyed
 /// testing oracle for the id-keyed selectivities computed in
-/// `cuts::CutCtx`. Hidden from the public surface; enable the
-/// `testing-oracles` feature to use it.
-#[cfg(any(test, feature = "testing-oracles"))]
-#[doc(hidden)]
-#[must_use]
-pub fn cut_selectivity(
+/// `cuts::CutCtx`.
+#[cfg(test)]
+fn cut_selectivity(
     catalog: &Catalog,
     pred: &fro_algebra::Pred,
     left_rels: &std::collections::BTreeSet<String>,
     right_rels: &std::collections::BTreeSet<String>,
 ) -> f64 {
-    let (pairs, residual) = super::lower::split_equi_by_name_impl(pred, left_rels, right_rels);
+    let (pairs, residual) = super::lower::split_equi_by_name(pred, left_rels, right_rels);
     let mut sel = catalog.selectivity(&residual);
     for (a, b) in &pairs {
         sel *= 1.0 / (catalog.distinct_of(a).max(catalog.distinct_of(b)).max(1) as f64);

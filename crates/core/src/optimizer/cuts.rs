@@ -90,8 +90,8 @@ impl RelMap {
 /// right_attr)` across the given relation sets, plus the residual
 /// predicate of everything else. This is the canonical, bitset form:
 /// side membership is a single bit test per conjunct attribute. (The
-/// name-keyed `BTreeSet<String>` variant survives crate-privately as a
-/// compatibility shim and `testing-oracles` oracle.)
+/// name-keyed `BTreeSet<String>` variant survives, hidden, as
+/// [`super::lower::split_equi_by_name`].)
 #[must_use]
 pub fn split_equi(
     pred: &Pred,
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn split_equi_matches_name_keyed_shim() {
-        use super::super::lower::split_equi_by_name_impl;
+        use super::super::lower::split_equi_by_name;
         use std::collections::BTreeSet;
         let cat = catalog();
         let m = RelMap::from_rels(["A".to_owned(), "B".to_owned()], &cat);
@@ -605,7 +605,7 @@ mod tests {
         let (pairs, residual) = split_equi(&pred, left, right, &m);
         let l: BTreeSet<String> = ["A".to_owned()].into();
         let r: BTreeSet<String> = ["B".to_owned()].into();
-        let (pairs_n, residual_n) = split_equi_by_name_impl(&pred, &l, &r);
+        let (pairs_n, residual_n) = split_equi_by_name(&pred, &l, &r);
         assert_eq!(pairs, pairs_n);
         assert_eq!(residual, residual_n);
         // Pairs are normalized (left attr first).

@@ -6,12 +6,10 @@
 //! The main path ([`lower`]) interns the query's relation names into a
 //! [`RelMap`] once and threads [`RelSet`] bitsets through the
 //! recursion, so predicate splitting does no string set-membership
-//! tests. The historical name-keyed walk survives crate-privately: it
-//! is the comparison target for the interned path's equivalence tests
-//! and the fallback for queries with more relations than a [`RelSet`]
-//! can hold. Under the `testing-oracles` feature it is re-exposed
-//! (hidden) as `lower_by_name`/`split_equi_by_name` for the external
-//! oracle tests.
+//! tests. The historical name-keyed walk survives, `#[doc(hidden)]`,
+//! as `lower_by_name`/`split_equi_by_name`: it is the fallback for
+//! queries with more relations than a [`RelSet`] can hold, and the
+//! comparison target of the interned path's equivalence tests.
 
 use super::cuts::{self, RelMap};
 use super::stats::Catalog;
@@ -27,9 +25,11 @@ use std::collections::BTreeSet;
 /// Compatibility shim: side membership is tested against
 /// `BTreeSet<String>`. The optimizer's own paths use the interned
 /// [`cuts::split_equi`], which answers the same question with one bit
-/// test per attribute.
+/// test per attribute; this form stays as the fallback walk's splitter
+/// and the interned path's equivalence oracle.
+#[doc(hidden)]
 #[must_use]
-pub(crate) fn split_equi_by_name_impl(
+pub fn split_equi_by_name(
     pred: &Pred,
     left_rels: &BTreeSet<String>,
     right_rels: &BTreeSet<String>,
@@ -66,7 +66,7 @@ pub fn lower(q: &Query, catalog: &Catalog) -> Result<PhysPlan, OptError> {
     let rels = q.rels();
     if rels.len() > RelSet::MAX_MEMBERS {
         // Beyond bitset capacity: fall back to the name-keyed walk.
-        return lower_by_name_impl(q, catalog);
+        return lower_by_name(q, catalog);
     }
     let relmap = RelMap::from_rels(rels, catalog);
     lower_rec(q, catalog, &relmap).map(|(plan, _)| plan)
@@ -243,7 +243,8 @@ fn lower_join_rec(
 /// # Errors
 /// [`OptError::Unsupported`] for operators with no physical form
 /// (currently `Union`).
-pub(crate) fn lower_by_name_impl(q: &Query, catalog: &Catalog) -> Result<PhysPlan, OptError> {
+#[doc(hidden)]
+pub fn lower_by_name(q: &Query, catalog: &Catalog) -> Result<PhysPlan, OptError> {
     match q {
         Query::Rel(name) => Ok(PhysPlan::scan(name.clone())),
         Query::Join { left, right, pred } => {
@@ -254,10 +255,10 @@ pub(crate) fn lower_by_name_impl(q: &Query, catalog: &Catalog) -> Result<PhysPla
         }
         Query::FullOuterJoin { left, right, pred } => {
             // Never an index join: unmatched inner rows would be lost.
-            let left_plan = lower_by_name_impl(left, catalog)?;
-            let right_plan = lower_by_name_impl(right, catalog)?;
+            let left_plan = lower_by_name(left, catalog)?;
+            let right_plan = lower_by_name(right, catalog)?;
             let right_rels = right.rels();
-            let (pairs, residual) = split_equi_by_name_impl(pred, &left.rels(), &right_rels);
+            let (pairs, residual) = split_equi_by_name(pred, &left.rels(), &right_rels);
             Ok(if pairs.is_empty() {
                 PhysPlan::NlJoin {
                     kind: JoinKind::FullOuter,
@@ -284,11 +285,11 @@ pub(crate) fn lower_by_name_impl(q: &Query, catalog: &Catalog) -> Result<PhysPla
             lower_join_by_name(JoinKind::Anti, left, right, pred, catalog)
         }
         Query::Restrict { input, pred } => Ok(PhysPlan::Filter {
-            input: Box::new(lower_by_name_impl(input, catalog)?),
+            input: Box::new(lower_by_name(input, catalog)?),
             pred: pred.clone(),
         }),
         Query::Project { input, attrs } => Ok(PhysPlan::Project {
-            input: Box::new(lower_by_name_impl(input, catalog)?),
+            input: Box::new(lower_by_name(input, catalog)?),
             attrs: attrs.clone(),
         }),
         Query::GroupCount {
@@ -296,7 +297,7 @@ pub(crate) fn lower_by_name_impl(q: &Query, catalog: &Catalog) -> Result<PhysPla
             group_attrs,
             counted,
         } => Ok(PhysPlan::GroupCount {
-            input: Box::new(lower_by_name_impl(input, catalog)?),
+            input: Box::new(lower_by_name(input, catalog)?),
             group_attrs: group_attrs.clone(),
             counted: counted.clone(),
         }),
@@ -306,8 +307,8 @@ pub(crate) fn lower_by_name_impl(q: &Query, catalog: &Catalog) -> Result<PhysPla
             pred,
             subset,
         } => Ok(PhysPlan::Goj {
-            left: Box::new(lower_by_name_impl(left, catalog)?),
-            right: Box::new(lower_by_name_impl(right, catalog)?),
+            left: Box::new(lower_by_name(left, catalog)?),
+            right: Box::new(lower_by_name(right, catalog)?),
             pred: pred.clone(),
             subset: subset.clone(),
         }),
@@ -324,11 +325,11 @@ fn lower_join_by_name(
     pred: &Pred,
     catalog: &Catalog,
 ) -> Result<PhysPlan, OptError> {
-    let left_plan = lower_by_name_impl(left, catalog)?;
-    let right_plan = lower_by_name_impl(right, catalog)?;
+    let left_plan = lower_by_name(left, catalog)?;
+    let right_plan = lower_by_name(right, catalog)?;
     let left_rels = left.rels();
     let right_rels = right.rels();
-    let (pairs, residual) = split_equi_by_name_impl(pred, &left_rels, &right_rels);
+    let (pairs, residual) = split_equi_by_name(pred, &left_rels, &right_rels);
     if pairs.is_empty() {
         return Ok(PhysPlan::NlJoin {
             kind,
@@ -363,33 +364,6 @@ fn lower_join_by_name(
     })
 }
 
-/// Name-keyed testing oracle: lower a query tree without interning.
-/// Hidden from the public surface; enable the `testing-oracles`
-/// feature to compare against the id-keyed path.
-///
-/// # Errors
-/// [`OptError::Unsupported`] for operators with no physical form
-/// (currently `Union`).
-#[cfg(feature = "testing-oracles")]
-#[doc(hidden)]
-pub fn lower_by_name(q: &Query, catalog: &Catalog) -> Result<PhysPlan, OptError> {
-    lower_by_name_impl(q, catalog)
-}
-
-/// Name-keyed testing oracle for equi-conjunct splitting. Hidden from
-/// the public surface; enable the `testing-oracles` feature to compare
-/// against the id-keyed [`cuts::split_equi`].
-#[cfg(feature = "testing-oracles")]
-#[doc(hidden)]
-#[must_use]
-pub fn split_equi_by_name(
-    pred: &Pred,
-    left_rels: &BTreeSet<String>,
-    right_rels: &BTreeSet<String>,
-) -> (Vec<(Attr, Attr)>, Pred) {
-    split_equi_by_name_impl(pred, left_rels, right_rels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +386,7 @@ mod tests {
         let pred = Pred::eq_attr("A.k", "B.k")
             .and(Pred::cmp_attr("A.k", CmpOp::Lt, "B.k"))
             .and(Pred::eq_attr("B.k", "A.k"));
-        let (pairs, residual) = split_equi_by_name_impl(&pred, &l, &r);
+        let (pairs, residual) = split_equi_by_name(&pred, &l, &r);
         assert_eq!(pairs.len(), 2);
         // Pairs are normalized (left attr first).
         assert!(pairs.iter().all(|(a, _)| a.rel() == "A"));
@@ -507,7 +481,7 @@ mod tests {
         ];
         for q in queries {
             let interned = lower(&q, &cat).unwrap();
-            let named = lower_by_name_impl(&q, &cat).unwrap();
+            let named = lower_by_name(&q, &cat).unwrap();
             assert_eq!(interned.explain(), named.explain(), "for {q:?}");
         }
     }

@@ -8,7 +8,6 @@
 //! syntactic association of the input tree ([`lower::lower`]), which
 //! is always correct.
 
-pub mod containment;
 pub mod cost;
 pub mod cuts;
 pub mod dp;
@@ -23,13 +22,11 @@ use fro_algebra::{Query, Relation};
 use fro_exec::{ExecConfig, ExecError, ExecStats, PhysPlan, Storage};
 use std::fmt;
 
-pub use containment::{graph_containment, GraphReuse};
 pub use cost::{estimate_plan, Estimate};
 pub use cuts::{split_equi, RelMap};
 pub use dp::{dp_optimize, dp_optimize_with, DpResult};
 pub use greedy::{greedy_optimize, greedy_optimize_with, GreedyResult};
 pub use lower::lower;
-#[cfg(feature = "testing-oracles")]
 #[doc(hidden)]
 pub use lower::{lower_by_name, split_equi_by_name};
 pub use plancache::{

@@ -807,7 +807,7 @@ mod tests {
                 Tuple::new(vec![Value::Int(1), Value::Int(100)]),
                 Tuple::new(vec![Value::Int(9), Value::Int(900)]),
             ];
-            let mut rel = storage.get("S").unwrap().relation().clone();
+            let mut rel = storage.get_named("S").unwrap().relation().clone();
             let mut rows = rel.rows().to_vec();
             rows.extend(add.clone());
             rel = Relation::new(rel.schema().clone(), rows).unwrap();
@@ -822,7 +822,7 @@ mod tests {
             // Delete the last match of R.k=2 — the outerjoin pad must
             // come back, the semi row must die, the anti row appear.
             let del = vec![Tuple::new(vec![Value::Int(2), Value::Int(200)])];
-            let rel = storage.get("S").unwrap().relation().clone();
+            let rel = storage.get_named("S").unwrap().relation().clone();
             let rows: Vec<Tuple> = rel
                 .rows()
                 .iter()

@@ -590,12 +590,49 @@ pub fn execute_with(
     stats: &mut ExecStats,
     cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
+    let mut slots = vec![0u64; n_nodes(plan)];
+    execute_counted(plan, storage, stats, cfg, &mut slots, &mut Vec::new())
+}
+
+/// [`execute_with`] that also leaves each plan node's output rows in
+/// `slots` (pre-order indexed, see [`n_nodes`]) and, under the
+/// pipelined engine, the pipeline breakdown in `trace`.
+fn execute_counted(
+    plan: &PhysPlan,
+    storage: &Storage,
+    stats: &mut ExecStats,
+    cfg: &ExecConfig,
+    slots: &mut [u64],
+    trace: &mut Vec<String>,
+) -> Result<Relation, ExecError> {
     let out = match cfg.mode {
-        crate::ExecMode::Pipelined => crate::pipeline::run_pipelined(plan, storage, stats, cfg)?,
-        crate::ExecMode::Materializing => run(plan, storage, stats, cfg)?,
+        crate::ExecMode::Pipelined => {
+            crate::pipeline::run_pipelined(plan, storage, stats, cfg, slots, trace)?
+        }
+        crate::ExecMode::Materializing => run(plan, 0, storage, stats, cfg, slots)?,
     };
     stats.rows_output = out.len() as u64;
     Ok(out)
+}
+
+/// Number of plan nodes, counted exactly as the explain walk does
+/// (an `IndexJoin`'s inner table is not a node). Node `i` of the
+/// pre-order walk owns row slot `i`; a node at slot `base` has its
+/// first child at `base + 1` and its second at
+/// `base + 1 + n_nodes(first)`.
+pub(crate) fn n_nodes(plan: &PhysPlan) -> usize {
+    1 + match plan {
+        PhysPlan::Scan { .. } => 0,
+        PhysPlan::Filter { input, .. }
+        | PhysPlan::Project { input, .. }
+        | PhysPlan::GroupCount { input, .. } => n_nodes(input),
+        PhysPlan::IndexJoin { outer, .. } => n_nodes(outer),
+        PhysPlan::HashJoin { probe, build, .. } => n_nodes(probe) + n_nodes(build),
+        PhysPlan::SemiReduce { input, source, .. } => n_nodes(input) + n_nodes(source),
+        PhysPlan::MergeJoin { left, right, .. }
+        | PhysPlan::NlJoin { left, right, .. }
+        | PhysPlan::Goj { left, right, .. } => n_nodes(left) + n_nodes(right),
+    }
 }
 
 /// A join operand in the materializing engine: either a base table
@@ -631,27 +668,38 @@ impl Operand<'_> {
 /// reach for the hash build.
 fn run_operand<'a>(
     plan: &PhysPlan,
+    base: usize,
     storage: &'a Storage,
     stats: &mut ExecStats,
     cfg: &ExecConfig,
+    slots: &mut [u64],
 ) -> Result<Operand<'a>, ExecError> {
     if cfg.columnar {
         if let PhysPlan::Scan { rel } = plan {
             let t = storage.lookup_named(rel)?;
             stats.tuples_retrieved += t.len() as u64;
             stats.rows_materialized += t.len() as u64;
+            slots[base] = t.len() as u64;
             return Ok(Operand::Table(t));
         }
     }
-    run(plan, storage, stats, cfg).map(Operand::Owned)
+    run(plan, base, storage, stats, cfg, slots).map(Operand::Owned)
 }
 
+/// The materializing walk: evaluate the subtree at pre-order slot
+/// `base` operator at a time, recording every node's output rows in
+/// `slots`.
 fn run(
     plan: &PhysPlan,
+    base: usize,
     storage: &Storage,
     stats: &mut ExecStats,
     cfg: &ExecConfig,
+    slots: &mut [u64],
 ) -> Result<Relation, ExecError> {
+    // Pre-order slot of the first child; a second child follows the
+    // first one's subtree.
+    let first = base + 1;
     let out = match plan {
         PhysPlan::Scan { rel } => {
             let t = storage.lookup_named(rel)?;
@@ -673,6 +721,7 @@ fn run(
             let t = storage.lookup_named(rel)?;
             stats.tuples_retrieved += t.len() as u64;
             stats.rows_materialized += t.len() as u64;
+            slots[first] = t.len() as u64;
             let r = t.relation();
             let bound = bind_pred(pred, r.schema(), Some(storage.interner()))?;
             stats.comparisons += t.len() as u64;
@@ -684,7 +733,7 @@ fn run(
             Relation::from_distinct_rows(r.schema().clone(), rows)
         }
         PhysPlan::Filter { input, pred } => {
-            let rel = run(input, storage, stats, cfg)?;
+            let rel = run(input, first, storage, stats, cfg, slots)?;
             let bound = bind_pred(pred, rel.schema(), Some(storage.interner()))?;
             let rows: Vec<Tuple> = rel
                 .iter()
@@ -697,7 +746,7 @@ fn run(
             Relation::from_distinct_rows(rel.schema().clone(), rows)
         }
         PhysPlan::Project { input, attrs } => {
-            let rel = run(input, storage, stats, cfg)?;
+            let rel = run(input, first, storage, stats, cfg, slots)?;
             fro_algebra::ops::project(&rel, attrs, true).map_err(ExecError::from)?
         }
         PhysPlan::HashJoin {
@@ -711,8 +760,8 @@ fn run(
             if probe_keys.len() != build_keys.len() || probe_keys.is_empty() {
                 return Err(ExecError::KeyArityMismatch);
             }
-            let probe_rel = run(probe, storage, stats, cfg)?;
-            let build_op = run_operand(build, storage, stats, cfg)?;
+            let probe_rel = run(probe, first, storage, stats, cfg, slots)?;
+            let build_op = run_operand(build, first + n_nodes(probe), storage, stats, cfg, slots)?;
             hash_join(
                 *kind,
                 &probe_rel,
@@ -736,8 +785,9 @@ fn run(
             if input_keys.len() != source_keys.len() || input_keys.is_empty() {
                 return Err(ExecError::KeyArityMismatch);
             }
-            let input_rel = run(input, storage, stats, cfg)?;
-            let source_op = run_operand(source, storage, stats, cfg)?;
+            let input_rel = run(input, first, storage, stats, cfg, slots)?;
+            let source_op =
+                run_operand(source, first + n_nodes(input), storage, stats, cfg, slots)?;
             let n_in = input_rel.len() as u64;
             let out = hash_join(
                 JoinKind::Semi,
@@ -766,7 +816,7 @@ fn run(
             if outer_keys.len() != inner_keys.len() || outer_keys.is_empty() {
                 return Err(ExecError::KeyArityMismatch);
             }
-            let outer_rel = run(outer, storage, stats, cfg)?;
+            let outer_rel = run(outer, first, storage, stats, cfg, slots)?;
             index_join(
                 *kind,
                 &outer_rel,
@@ -791,8 +841,8 @@ fn run(
             if left_keys.len() != right_keys.len() || left_keys.is_empty() {
                 return Err(ExecError::KeyArityMismatch);
             }
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
+            let l = run(left, first, storage, stats, cfg, slots)?;
+            let r = run(right, first + n_nodes(left), storage, stats, cfg, slots)?;
             merge_join(
                 *kind,
                 &l,
@@ -810,8 +860,8 @@ fn run(
             right,
             pred,
         } => {
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
+            let l = run(left, first, storage, stats, cfg, slots)?;
+            let r = run(right, first + n_nodes(left), storage, stats, cfg, slots)?;
             nl_join(*kind, &l, &r, pred, Some(storage.interner()), stats, cfg)?
         }
         PhysPlan::GroupCount {
@@ -819,7 +869,7 @@ fn run(
             group_attrs,
             counted,
         } => {
-            let rel = run(input, storage, stats, cfg)?;
+            let rel = run(input, first, storage, stats, cfg, slots)?;
             group_count_partitioned(&rel, group_attrs, counted.as_ref(), cfg)?
         }
         PhysPlan::Goj {
@@ -828,13 +878,14 @@ fn run(
             pred,
             subset,
         } => {
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
+            let l = run(left, first, storage, stats, cfg, slots)?;
+            let r = run(right, first + n_nodes(left), storage, stats, cfg, slots)?;
             stats.comparisons += (l.len() * r.len()) as u64;
             fro_algebra::ops::goj(&l, &r, pred, subset).map_err(ExecError::from)?
         }
     };
     stats.rows_materialized += out.len() as u64;
+    slots[base] = out.len() as u64;
     Ok(out)
 }
 
@@ -1430,9 +1481,10 @@ pub fn explain_analyze(
 
 /// [`explain_analyze`] with explicit [`ExecConfig`]. The report —
 /// per-operator row counts and counter totals — is identical at any
-/// thread count. Under the (default) pipelined mode the report gains a
-/// trailing pipeline breakdown: which operators fused into each
-/// pipeline and where breakers cut the plan.
+/// thread count, and its totals are exactly what [`execute_with`]
+/// counts under the same config. Under the (default) pipelined mode the
+/// report gains a trailing pipeline breakdown: which operators fused
+/// into each pipeline and where breakers cut the plan.
 ///
 /// # Errors
 /// Same failure modes as [`execute`].
@@ -1441,14 +1493,65 @@ pub fn explain_analyze_with(
     storage: &Storage,
     cfg: &ExecConfig,
 ) -> Result<(Relation, String), ExecError> {
-    if cfg.mode == crate::ExecMode::Pipelined {
-        return crate::pipeline::explain_pipelined(plan, storage, cfg);
-    }
     let mut stats = ExecStats::new();
-    let mut lines: Vec<(usize, String, u64)> = Vec::new();
-    let rel = annotate(plan, storage, &mut stats, 0, &mut lines, cfg)?;
-    stats.rows_output = rel.len() as u64;
-    Ok((rel, render_report(&lines, &stats)))
+    let mut slots = vec![0u64; n_nodes(plan)];
+    let mut trace = Vec::new();
+    let rel = execute_counted(plan, storage, &mut stats, cfg, &mut slots, &mut trace)?;
+    let mut out = render_report(plan, &slots, &stats);
+    if cfg.mode == crate::ExecMode::Pipelined {
+        out.push_str(&format!(
+            "pipelines: {} (rows pipelined={}, rows materialized={})\n",
+            stats.pipelines, stats.rows_pipelined, stats.rows_materialized
+        ));
+        for t in &trace {
+            out.push_str("  ");
+            out.push_str(t);
+            out.push('\n');
+        }
+    }
+    Ok((rel, out))
+}
+
+/// The node label `explain_analyze` prints.
+pub(crate) fn label_of(plan: &PhysPlan) -> String {
+    match plan {
+        PhysPlan::Scan { rel } => format!("Scan {rel}"),
+        PhysPlan::Filter { pred, .. } => format!("Filter [{pred}]"),
+        PhysPlan::Project { .. } => "Project".to_owned(),
+        PhysPlan::HashJoin { kind, .. } => format!("HashJoin({kind})"),
+        PhysPlan::IndexJoin { kind, inner, .. } => format!("IndexJoin({kind}) {inner}"),
+        PhysPlan::MergeJoin { kind, .. } => format!("MergeJoin({kind})"),
+        PhysPlan::NlJoin { kind, .. } => format!("NlJoin({kind})"),
+        PhysPlan::GroupCount { .. } => "GroupCount".to_owned(),
+        PhysPlan::SemiReduce { pass, .. } => format!("SemiReduce({pass})"),
+        PhysPlan::Goj { .. } => "Goj".to_owned(),
+    }
+}
+
+/// Pre-order `(depth, label)` walk, in row-slot order.
+fn collect_lines(plan: &PhysPlan, depth: usize, lines: &mut Vec<(usize, String)>) {
+    lines.push((depth, label_of(plan)));
+    match plan {
+        PhysPlan::Scan { .. } => {}
+        PhysPlan::Filter { input, .. }
+        | PhysPlan::Project { input, .. }
+        | PhysPlan::GroupCount { input, .. } => collect_lines(input, depth + 1, lines),
+        PhysPlan::IndexJoin { outer, .. } => collect_lines(outer, depth + 1, lines),
+        PhysPlan::HashJoin { probe, build, .. } => {
+            collect_lines(probe, depth + 1, lines);
+            collect_lines(build, depth + 1, lines);
+        }
+        PhysPlan::SemiReduce { input, source, .. } => {
+            collect_lines(input, depth + 1, lines);
+            collect_lines(source, depth + 1, lines);
+        }
+        PhysPlan::MergeJoin { left, right, .. }
+        | PhysPlan::NlJoin { left, right, .. }
+        | PhysPlan::Goj { left, right, .. } => {
+            collect_lines(left, depth + 1, lines);
+            collect_lines(right, depth + 1, lines);
+        }
+    }
 }
 
 /// Render the `EXPLAIN ANALYZE` body shared by both executors: the
@@ -1457,9 +1560,11 @@ pub fn explain_analyze_with(
 /// breakdown is thread-count and morsel-size invariant (counters merge
 /// deterministically); it *does* change shape with the partition count,
 /// which is exactly what it is for.
-pub(crate) fn render_report(lines: &[(usize, String, u64)], stats: &ExecStats) -> String {
+fn render_report(plan: &PhysPlan, slots: &[u64], stats: &ExecStats) -> String {
+    let mut lines = Vec::new();
+    collect_lines(plan, 0, &mut lines);
     let mut out = String::new();
-    for (depth, label, rows) in lines {
+    for ((depth, label), rows) in lines.iter().zip(slots) {
         out.push_str(&"  ".repeat(*depth));
         out.push_str(label);
         out.push_str(&format!("  (rows={rows})\n"));
@@ -1474,206 +1579,6 @@ pub(crate) fn render_report(lines: &[(usize, String, u64)], stats: &ExecStats) -
         ));
     }
     out
-}
-
-fn annotate(
-    plan: &PhysPlan,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    depth: usize,
-    lines: &mut Vec<(usize, String, u64)>,
-    cfg: &ExecConfig,
-) -> Result<Relation, ExecError> {
-    // Reserve this node's line before recursing so the report reads in
-    // plan (pre-)order while row counts are filled post-execution.
-    let slot = lines.len();
-    lines.push((depth, String::new(), 0));
-
-    let (label, rel) = match plan {
-        PhysPlan::Scan { rel } => {
-            let t = storage.lookup_named(rel)?;
-            stats.tuples_retrieved += t.len() as u64;
-            (format!("Scan {rel}"), t.relation().clone())
-        }
-        PhysPlan::Filter { input, pred } => {
-            let child = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            let bound = bind_pred(pred, child.schema(), Some(storage.interner()))?;
-            let rows: Vec<Tuple> = child
-                .iter()
-                .filter(|t| {
-                    stats.comparisons += 1;
-                    bound.eval(t).is_true()
-                })
-                .cloned()
-                .collect();
-            (
-                format!("Filter [{pred}]"),
-                Relation::from_distinct_rows(child.schema().clone(), rows),
-            )
-        }
-        PhysPlan::Project { input, attrs } => {
-            let child = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            (
-                "Project".to_owned(),
-                fro_algebra::ops::project(&child, attrs, true).map_err(ExecError::from)?,
-            )
-        }
-        PhysPlan::HashJoin {
-            kind,
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-        } => {
-            if probe_keys.len() != build_keys.len() || probe_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let p = annotate(probe, storage, stats, depth + 1, lines, cfg)?;
-            let b = annotate(build, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("HashJoin({kind})"),
-                hash_join(
-                    *kind,
-                    &p,
-                    &b,
-                    probe_keys,
-                    build_keys,
-                    residual,
-                    Some(storage.interner()),
-                    stats,
-                    cfg,
-                    None,
-                )?,
-            )
-        }
-        PhysPlan::SemiReduce {
-            input,
-            source,
-            input_keys,
-            source_keys,
-            pass,
-        } => {
-            if input_keys.len() != source_keys.len() || input_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let i = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            let s = annotate(source, storage, stats, depth + 1, lines, cfg)?;
-            let n_in = i.len() as u64;
-            let out = hash_join(
-                JoinKind::Semi,
-                &i,
-                &s,
-                input_keys,
-                source_keys,
-                &Pred::always(),
-                Some(storage.interner()),
-                stats,
-                cfg,
-                None,
-            )?;
-            stats.rows_reduced += n_in - out.len() as u64;
-            stats.reducer_passes += 1;
-            (format!("SemiReduce({pass})"), out)
-        }
-        PhysPlan::IndexJoin {
-            kind,
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            residual,
-        } => {
-            if outer_keys.len() != inner_keys.len() || outer_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let o = annotate(outer, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("IndexJoin({kind}) {inner}"),
-                index_join(
-                    *kind,
-                    &o,
-                    inner,
-                    outer_keys,
-                    inner_keys,
-                    residual,
-                    Some(storage.interner()),
-                    storage,
-                    stats,
-                    cfg,
-                )?,
-            )
-        }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("MergeJoin({kind})"),
-                merge_join(
-                    *kind,
-                    &l,
-                    &r,
-                    left_keys,
-                    right_keys,
-                    residual,
-                    Some(storage.interner()),
-                    stats,
-                )?,
-            )
-        }
-        PhysPlan::NlJoin {
-            kind,
-            left,
-            right,
-            pred,
-        } => {
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("NlJoin({kind})"),
-                nl_join(*kind, &l, &r, pred, Some(storage.interner()), stats, cfg)?,
-            )
-        }
-        PhysPlan::GroupCount {
-            input,
-            group_attrs,
-            counted,
-        } => {
-            let rel = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            (
-                "GroupCount".to_owned(),
-                fro_algebra::ops::group_count(&rel, group_attrs, counted.as_ref())
-                    .map_err(ExecError::from)?,
-            )
-        }
-        PhysPlan::Goj {
-            left,
-            right,
-            pred,
-            subset,
-        } => {
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            stats.comparisons += (l.len() * r.len()) as u64;
-            (
-                "Goj".to_owned(),
-                fro_algebra::ops::goj(&l, &r, pred, subset).map_err(ExecError::from)?,
-            )
-        }
-    };
-    stats.rows_materialized += rel.len() as u64;
-    lines[slot] = (depth, label, rel.len() as u64);
-    Ok(rel)
 }
 
 #[cfg(test)]
@@ -1732,8 +1637,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::join(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
         )
         .unwrap();
@@ -1755,8 +1660,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::outerjoin(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
         )
         .unwrap();
@@ -1834,8 +1739,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::outerjoin(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
         )
         .unwrap();
@@ -1960,8 +1865,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = fro_algebra::ops::goj(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
             &[Attr::parse("R2.k2")],
         )
@@ -1983,8 +1888,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::full_outerjoin(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
         )
         .unwrap();
@@ -2006,8 +1911,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::full_outerjoin(
-            s.get("R2").unwrap().relation(),
-            s.get("R3").unwrap().relation(),
+            s.get_named("R2").unwrap().relation(),
+            s.get_named("R3").unwrap().relation(),
             &Pred::eq_attr("R2.k2", "R3.k3"),
         )
         .unwrap();
@@ -2114,8 +2019,8 @@ mod tests {
         let mut st = ExecStats::new();
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::outerjoin(
-            s.get("L").unwrap().relation(),
-            s.get("R").unwrap().relation(),
+            s.get_named("L").unwrap().relation(),
+            s.get_named("R").unwrap().relation(),
             &Pred::eq_attr("L.k", "R.k").and(Pred::eq_attr("L.v", "R.w")),
         )
         .unwrap();
@@ -2187,8 +2092,8 @@ mod tests {
             let mut st = ExecStats::new();
             let out = execute(&plan, &s, &mut st).unwrap();
             let expect = ops::full_outerjoin(
-                s.get("L").unwrap().relation(),
-                s.get("R").unwrap().relation(),
+                s.get_named("L").unwrap().relation(),
+                s.get_named("R").unwrap().relation(),
                 &Pred::eq_attr("L.k", "R.k"),
             )
             .unwrap();
@@ -2220,8 +2125,8 @@ mod tests {
         };
         let out = execute(&plan, &s, &mut st).unwrap();
         let expect = ops::outerjoin(
-            s.get("L").unwrap().relation(),
-            s.get("R").unwrap().relation(),
+            s.get_named("L").unwrap().relation(),
+            s.get_named("R").unwrap().relation(),
             &Pred::eq_attr("L.k", "R.k"),
         )
         .unwrap();
@@ -2505,5 +2410,33 @@ mod tests {
         let par_cfg = ExecConfig::with_threads(8).morsel_rows(16).partitions(8);
         let (_, par_report) = explain_analyze_with(&plan, &s, &par_cfg).unwrap();
         assert_eq!(report, par_report);
+    }
+
+    #[test]
+    fn explain_totals_equal_execute_stats_in_both_modes() {
+        // Sorted keys: zone maps prune 19 of the filter's 20 morsels.
+        let keys: Vec<Vec<i64>> = (0..20_000).map(|k| vec![k]).collect();
+        let rows: Vec<&[i64]> = keys.iter().map(Vec::as_slice).collect();
+        let mut s = Storage::new();
+        s.insert("R", Relation::from_ints("R", &["k"], &rows));
+        let plan = PhysPlan::Filter {
+            input: Box::new(PhysPlan::scan("R")),
+            pred: Pred::cmp_lit("R.k", fro_algebra::CmpOp::Lt, 100),
+        };
+        for cfg in [
+            ExecConfig::new().pipelined(),
+            ExecConfig::new().materializing(),
+        ] {
+            let mut stats = ExecStats::new();
+            let rel = execute_with(&plan, &s, &mut stats, &cfg).unwrap();
+            let (explained, report) = explain_analyze_with(&plan, &s, &cfg).unwrap();
+            assert_eq!(rel.rows(), explained.rows());
+            assert_eq!(stats.morsels_skipped, 19, "{:?}", cfg.mode);
+            assert!(
+                report.contains(&format!("totals: {stats}\n")),
+                "{:?}: {report}",
+                cfg.mode
+            );
+        }
     }
 }

@@ -35,8 +35,8 @@
 
 use crate::config::ExecConfig;
 use crate::engine::{
-    bind_pred, dedup_rows, group_count_partitioned, hash_join, merge_join, nl_join, render_report,
-    resolve_cols, ExecError, JoinTable,
+    bind_pred, dedup_rows, group_count_partitioned, hash_join, label_of, merge_join, n_nodes,
+    nl_join, resolve_cols, ExecError, JoinTable,
 };
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
@@ -63,127 +63,25 @@ struct Rs<'a> {
     trace: &'a mut Vec<String>,
 }
 
-/// Number of plan nodes, counted exactly as the explain walk does
-/// (an `IndexJoin`'s inner table is not a node).
-fn n_nodes(plan: &PhysPlan) -> usize {
-    1 + match plan {
-        PhysPlan::Scan { .. } => 0,
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::GroupCount { input, .. } => n_nodes(input),
-        PhysPlan::IndexJoin { outer, .. } => n_nodes(outer),
-        PhysPlan::HashJoin { probe, build, .. } => n_nodes(probe) + n_nodes(build),
-        PhysPlan::SemiReduce { input, source, .. } => n_nodes(input) + n_nodes(source),
-        PhysPlan::MergeJoin { left, right, .. }
-        | PhysPlan::NlJoin { left, right, .. }
-        | PhysPlan::Goj { left, right, .. } => n_nodes(left) + n_nodes(right),
-    }
-}
-
-/// The node label `explain_analyze` prints — byte-identical to the
-/// materializing annotator's labels.
-fn label_of(plan: &PhysPlan) -> String {
-    match plan {
-        PhysPlan::Scan { rel } => format!("Scan {rel}"),
-        PhysPlan::Filter { pred, .. } => format!("Filter [{pred}]"),
-        PhysPlan::Project { .. } => "Project".to_owned(),
-        PhysPlan::HashJoin { kind, .. } => format!("HashJoin({kind})"),
-        PhysPlan::IndexJoin { kind, inner, .. } => format!("IndexJoin({kind}) {inner}"),
-        PhysPlan::MergeJoin { kind, .. } => format!("MergeJoin({kind})"),
-        PhysPlan::NlJoin { kind, .. } => format!("NlJoin({kind})"),
-        PhysPlan::GroupCount { .. } => "GroupCount".to_owned(),
-        PhysPlan::SemiReduce { pass, .. } => format!("SemiReduce({pass})"),
-        PhysPlan::Goj { .. } => "Goj".to_owned(),
-    }
-}
-
-/// Pre-order `(depth, label)` walk in the exact order the materializing
-/// annotator reserves report lines; zipped with the slot counts it
-/// reproduces its report byte for byte.
-fn collect_lines(plan: &PhysPlan, depth: usize, lines: &mut Vec<(usize, String)>) {
-    lines.push((depth, label_of(plan)));
-    match plan {
-        PhysPlan::Scan { .. } => {}
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::GroupCount { input, .. } => collect_lines(input, depth + 1, lines),
-        PhysPlan::IndexJoin { outer, .. } => collect_lines(outer, depth + 1, lines),
-        PhysPlan::HashJoin { probe, build, .. } => {
-            collect_lines(probe, depth + 1, lines);
-            collect_lines(build, depth + 1, lines);
-        }
-        PhysPlan::SemiReduce { input, source, .. } => {
-            collect_lines(input, depth + 1, lines);
-            collect_lines(source, depth + 1, lines);
-        }
-        PhysPlan::MergeJoin { left, right, .. }
-        | PhysPlan::NlJoin { left, right, .. }
-        | PhysPlan::Goj { left, right, .. } => {
-            collect_lines(left, depth + 1, lines);
-            collect_lines(right, depth + 1, lines);
-        }
-    }
-}
-
-/// Execute `plan` with the pipelined engine. Entry point for
+/// Execute `plan` with the pipelined engine, leaving each plan node's
+/// output rows in `slots` (pre-order, see [`n_nodes`]) and the
+/// pipeline breakdown in `trace`. Entry point for
 /// [`crate::execute_with`]; the caller sets `rows_output`.
 pub(crate) fn run_pipelined(
     plan: &PhysPlan,
     storage: &Storage,
     stats: &mut ExecStats,
     cfg: &ExecConfig,
+    slots: &mut [u64],
+    trace: &mut Vec<String>,
 ) -> Result<Relation, ExecError> {
-    let mut slots = vec![0u64; n_nodes(plan)];
-    let mut trace = Vec::new();
     let cx = Cx { storage, cfg };
     let mut rs = Rs {
         stats,
-        slots: &mut slots,
-        trace: &mut trace,
+        slots,
+        trace,
     };
     exec_region(plan, 0, &cx, &mut rs)
-}
-
-/// Execute `plan` and render the `EXPLAIN ANALYZE` report: the same
-/// per-node row counts and totals the materializing engine prints,
-/// followed by the pipeline breakdown (which operators fused into each
-/// pipeline, and where breakers cut the plan).
-pub(crate) fn explain_pipelined(
-    plan: &PhysPlan,
-    storage: &Storage,
-    cfg: &ExecConfig,
-) -> Result<(Relation, String), ExecError> {
-    let mut stats = ExecStats::new();
-    let mut slots = vec![0u64; n_nodes(plan)];
-    let mut trace = Vec::new();
-    let cx = Cx { storage, cfg };
-    let rel = {
-        let mut rs = Rs {
-            stats: &mut stats,
-            slots: &mut slots,
-            trace: &mut trace,
-        };
-        exec_region(plan, 0, &cx, &mut rs)?
-    };
-    stats.rows_output = rel.len() as u64;
-    let mut labels = Vec::new();
-    collect_lines(plan, 0, &mut labels);
-    let lines: Vec<(usize, String, u64)> = labels
-        .into_iter()
-        .zip(&slots)
-        .map(|((depth, label), &rows)| (depth, label, rows))
-        .collect();
-    let mut out = render_report(&lines, &stats);
-    out.push_str(&format!(
-        "pipelines: {} (rows pipelined={}, rows materialized={})\n",
-        stats.pipelines, stats.rows_pipelined, stats.rows_materialized
-    ));
-    for t in &trace {
-        out.push_str("  ");
-        out.push_str(t);
-        out.push('\n');
-    }
-    Ok((rel, out))
 }
 
 /// Execute a plan subtree rooted at pre-order slot `base` and return

@@ -12,10 +12,9 @@
 //!
 //! Names are interned exactly once, at [`Storage::insert`]; every later
 //! lookup is an array index. Names legitimately enter at registration
-//! time ([`Storage::insert`], [`Storage::create_index`]), but the
-//! name-keyed *read* API (`get`, `lookup`, `get_mut`) is a hidden
-//! compatibility shim available only under the `testing-oracles`
-//! feature — the public read surface is id-keyed.
+//! time ([`Storage::insert`], [`Storage::create_index`]); the public
+//! read surface is id-keyed, and name-keyed reads stay crate-private
+//! (the engine resolves plan-embedded names through them).
 //!
 //! Storage carries its own epoch counter, bumped by every data or
 //! index mutation, so a session can notice that its derived catalog
@@ -381,37 +380,6 @@ impl Storage {
         })
     }
 
-    /// Name-keyed testing oracle for table reads. Hidden from the
-    /// public surface; the id-keyed path is [`Storage::get_by_id`].
-    #[cfg(any(test, feature = "testing-oracles"))]
-    #[doc(hidden)]
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&Table> {
-        self.get_named(name)
-    }
-
-    /// Name-keyed testing oracle for diagnosable lookups. Hidden from
-    /// the public surface; the id-keyed path is [`Storage::get_by_id`].
-    ///
-    /// # Errors
-    /// [`ExecError::UnknownTable`] when the name is not interned.
-    #[cfg(any(test, feature = "testing-oracles"))]
-    #[doc(hidden)]
-    pub fn lookup(&self, name: &str) -> Result<&Table, ExecError> {
-        self.lookup_named(name)
-    }
-
-    /// Name-keyed testing oracle for mutable table access. Hidden from
-    /// the public surface; mutation goes through [`Storage::insert`]
-    /// and [`Storage::create_index`]. Does **not** bump the epoch —
-    /// oracle use only.
-    #[cfg(any(test, feature = "testing-oracles"))]
-    #[doc(hidden)]
-    #[must_use]
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.get_named_mut(name)
-    }
-
     /// Create an index on `rel_name(attrs…)`; `false` if missing.
     pub fn create_index(&mut self, rel_name: &str, attrs: &[Attr]) -> bool {
         let Some(t) = self.get_named_mut(rel_name) else {
@@ -445,7 +413,7 @@ mod tests {
         let mut db = Database::new();
         db.insert(Relation::from_ints("R", &["a"], &[&[1], &[2]]));
         let s = Storage::from_database(&db);
-        assert_eq!(s.get("R").unwrap().len(), 2);
+        assert_eq!(s.get_named("R").unwrap().len(), 2);
         let back = s.to_database();
         assert!(back.get("R").unwrap().set_eq(db.get("R").unwrap()));
     }
@@ -460,7 +428,7 @@ mod tests {
         assert!(s.create_index("R", &[Attr::parse("R.k")]));
         assert!(!s.create_index("R", &[Attr::parse("R.zzz")]));
         assert!(!s.create_index("Q", &[Attr::parse("Q.k")]));
-        let t = s.get("R").unwrap();
+        let t = s.get_named("R").unwrap();
         assert!(t.index_on(&[0]).is_some());
         assert!(t.index_on(&[1]).is_none());
     }
@@ -504,7 +472,7 @@ mod tests {
             Relation::from_ints("T001", &["a"], &[&[7], &[8], &[9]]),
         );
         assert_eq!(s.n_tables(), n);
-        assert_eq!(s.get("T001").unwrap().len(), 3);
+        assert_eq!(s.get_named("T001").unwrap().len(), 3);
     }
 
     #[test]
@@ -518,7 +486,7 @@ mod tests {
         }
         let late = format!("T{:03}", SHARD_SIZE + 1);
         assert!(s.create_index(&late, &[Attr::parse(&format!("{late}.k"))]));
-        assert!(s.get(&late).unwrap().index_on(&[0]).is_some());
+        assert!(s.get_named(&late).unwrap().index_on(&[0]).is_some());
     }
 
     #[test]
@@ -543,7 +511,7 @@ mod tests {
             .unwrap();
         assert_eq!(novel.len(), 2);
         assert!(s.epoch() > e0);
-        let t = s.get("R").unwrap();
+        let t = s.get_named("R").unwrap();
         assert_eq!(t.len(), 4);
         assert_eq!(t.columns().rows(), 4);
         // The maintained mirror agrees with a from-scratch rebuild.
@@ -563,7 +531,7 @@ mod tests {
             .unwrap();
         assert!(none.is_empty());
         assert_eq!(s.epoch(), e1);
-        assert_eq!(s.get("R").unwrap().len(), 4);
+        assert_eq!(s.get_named("R").unwrap().len(), 4);
     }
 
     #[test]
@@ -576,7 +544,7 @@ mod tests {
             .append_rows("R", vec![Tuple::new(vec![Value::Int(1), Value::Int(2)])])
             .is_none());
         assert_eq!(s.epoch(), e);
-        assert_eq!(s.get("R").unwrap().len(), 1);
+        assert_eq!(s.get_named("R").unwrap().len(), 1);
     }
 
     #[test]
@@ -589,7 +557,7 @@ mod tests {
             .append_rows("R", vec![Tuple::new(vec![Value::str("x")])])
             .unwrap();
         assert_eq!(novel.len(), 1);
-        let t = s.get("R").unwrap();
+        let t = s.get_named("R").unwrap();
         assert_eq!(t.columns().value_at(1, 0), Value::str("x"));
         assert_eq!(t.columns().column(0).distinct(), 2);
     }

@@ -78,6 +78,10 @@ pub const PROTO_MIN_SUPPORTED_VERSION: u8 = 1;
 /// larger than this is rejected before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
+/// The most [`read_frame`] reserves up front for a payload; larger
+/// frames grow their buffer as the bytes arrive.
+const FRAME_READ_RESERVE: usize = 64 * 1024;
+
 /// Producer guideline: servers chunk result rows into batches of this
 /// many rows per `Rows` frame. Decoders accept any batch size whose
 /// bytes actually fit the frame.
@@ -199,8 +203,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer as payload bytes arrive: a bare header must not
+    // pin `len` bytes before the peer has sent any of them.
+    let mut payload = Vec::with_capacity(len.min(FRAME_READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -588,6 +600,37 @@ mod tests {
         partial.extend_from_slice(b"abc");
         let mut r = io::Cursor::new(partial);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn frame_header_alone_does_not_pin_the_declared_length() {
+        /// Serves a `MAX_FRAME_BYTES` header, 16 payload bytes, then
+        /// EOF, recording the largest buffer it was asked to fill.
+        struct Stingy {
+            bytes: io::Cursor<Vec<u8>>,
+            largest: usize,
+        }
+        impl Read for Stingy {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 16]);
+        let mut r = Stingy {
+            bytes: io::Cursor::new(bytes),
+            largest: 0,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert!(
+            r.largest < 1024 * 1024,
+            "read_frame asked for a {}-byte buffer",
+            r.largest
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Tier-1 verification plus the engine and optimizer benches.
 #
 # Offline-safe: every dependency is a workspace path crate (including
-# the vendored rand/proptest/criterion stand-ins under crates/), so no
-# step touches a registry or the network.
+# the vendored rand/proptest stand-ins under crates/), so no step
+# touches a registry or the network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,9 +15,6 @@ cargo build --release
 
 echo "== tests =="
 cargo test -q
-
-echo "== tests (testing-oracles: name-keyed oracle equivalence) =="
-cargo test -q --features testing-oracles
 
 echo "== wire decoder fuzz + roundtrip properties =="
 cargo test -q -p fro-wire

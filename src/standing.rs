@@ -21,15 +21,14 @@
 //! *same* view: one materialization, one maintained state, another
 //! subscriber.
 //!
-//! ## Finkelstein prefix/extension reuse
+//! ## Build-side reuse
 //!
 //! Following the readyset lineage (SNIPPETS.md §1,
-//! `ReuseConfigType::Finkelstein`), a new registration whose graph is
-//! contained in — or contains — an existing view's graph
-//! ([`fro_core::optimizer::graph_containment`]) shares the pooled leaf
-//! build sides of the views already materialized instead of rebuilding
-//! them; [`StandingCounters::build_sides_reused`] counts every such
-//! reuse.
+//! `ReuseConfigType::Finkelstein`), views whose graphs overlap share
+//! leaf build sides: every registration consults the registry's
+//! [`BuildSidePool`] by leaf key (relation, key columns, filter) and
+//! clones a pooled side instead of rebuilding it;
+//! [`StandingCounters::build_sides_reused`] counts every such reuse.
 //!
 //! ## Staleness
 //!
@@ -45,10 +44,9 @@ use crate::error::FroError;
 use crate::shared::{DbState, SharedDb};
 use fro_algebra::schema::SchemaRef;
 use fro_algebra::{Relation, Tuple};
-use fro_core::optimizer::{graph_containment, graph_signature, GraphReuse, Optimized};
+use fro_core::optimizer::{graph_signature, Optimized};
 use fro_core::{Catalog, Policy};
 use fro_exec::{execute, BuildSidePool, DeltaPlan, ExecStats, PhysPlan, RowDelta};
-use fro_graph::QueryGraph;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -117,12 +115,6 @@ pub struct StandingCounters {
     pub registered: u64,
     /// Registrations answered by an existing alpha-equivalent view.
     pub shared_hits: u64,
-    /// Registrations whose graph was contained in an already-registered
-    /// view's graph (Finkelstein prefix reuse).
-    pub prefix_reuses: u64,
-    /// Registrations whose graph contained an already-registered view's
-    /// graph (Finkelstein direct extension).
-    pub extension_reuses: u64,
     /// Leaf build sides cloned from the shared pool instead of rebuilt.
     pub build_sides_reused: u64,
 }
@@ -132,7 +124,6 @@ pub struct StandingCounters {
 /// canonical order, and the epochs it has accounted for.
 #[derive(Debug)]
 struct View {
-    graph: Option<QueryGraph>,
     plan: PhysPlan,
     delta: Option<DeltaPlan>,
     rows: BTreeSet<Tuple>,
@@ -319,8 +310,7 @@ impl SharedDb {
         let reg = &mut *guard;
         let state = self.snapshot();
         let rels = plan_rels(&optimized.plan);
-        let graph = optimized.analysis.graph.clone();
-        let key: Option<ViewKey> = graph.as_ref().map(|g| {
+        let key: Option<ViewKey> = optimized.analysis.graph.as_ref().map(|g| {
             (
                 graph_signature(g).0.as_u64(),
                 rels.clone(),
@@ -328,38 +318,17 @@ impl SharedDb {
                 plan_fingerprint(&optimized.plan),
             )
         });
-        if let Some(k) = &key {
-            if let Some(&id) = reg.by_key.get(k) {
-                let view = reg.views.get_mut(&id).expect("keyed view exists");
-                view.subscribers += 1;
-                reg.counters.shared_hits += 1;
-                return Ok((
-                    Registered {
-                        id: StandingId(id),
-                        shared: true,
-                    },
-                    ExecStats::new(),
-                ));
-            }
-            if let Some(g) = &graph {
-                // Finkelstein classification against the registered
-                // population: one counted relationship is enough to
-                // route this registration at the shared pool.
-                let reuse = reg
-                    .views
-                    .values()
-                    .filter_map(|v| v.graph.as_ref())
-                    .find_map(|old| match graph_containment(g, old) {
-                        Some(GraphReuse::PrefixOf) => Some(GraphReuse::PrefixOf),
-                        Some(GraphReuse::ExtensionOf) => Some(GraphReuse::ExtensionOf),
-                        _ => None,
-                    });
-                match reuse {
-                    Some(GraphReuse::PrefixOf) => reg.counters.prefix_reuses += 1,
-                    Some(GraphReuse::ExtensionOf) => reg.counters.extension_reuses += 1,
-                    _ => {}
-                }
-            }
+        if let Some(&id) = key.as_ref().and_then(|k| reg.by_key.get(k)) {
+            let view = reg.views.get_mut(&id).expect("keyed view exists");
+            view.subscribers += 1;
+            reg.counters.shared_hits += 1;
+            return Ok((
+                Registered {
+                    id: StandingId(id),
+                    shared: true,
+                },
+                ExecStats::new(),
+            ));
         }
         let mut stats = ExecStats::new();
         let mut delta = DeltaPlan::try_build(&optimized.plan, state.storage());
@@ -384,7 +353,6 @@ impl SharedDb {
         reg.views.insert(
             id,
             View {
-                graph,
                 plan: optimized.plan.clone(),
                 delta,
                 rows: rows.into_iter().collect(),
@@ -573,7 +541,6 @@ mod tests {
         assert!(!reg.shared, "different graph, its own view");
         let c = s.shared().standing_counters();
         assert_eq!(c.registered, 2);
-        assert_eq!(c.prefix_reuses, 1, "containment detected");
         assert!(
             c.build_sides_reused >= 1,
             "leaf build side cloned from pool"

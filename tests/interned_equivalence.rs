@@ -4,10 +4,9 @@
 //! `explain()` string), same results, same `ExecStats`, and
 //! insertion-order-independent — plus diagnosable storage misses.
 //!
-//! The name-keyed side of every oracle pair is `#[doc(hidden)]` behind
-//! the `testing-oracles` feature, so this whole file compiles only
-//! under `--features testing-oracles` (scripts/ci.sh runs it).
-#![cfg(feature = "testing-oracles")]
+//! The name-keyed side of every oracle pair is `#[doc(hidden)]`: it is
+//! also `lower`'s fallback past `RelSet::MAX_MEMBERS` relations, so it
+//! is always compiled and these oracles always run.
 
 use fro_algebra::{Pred, RelSet};
 use fro_core::optimizer::{
