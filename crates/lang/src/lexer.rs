@@ -62,67 +62,51 @@ impl fmt::Display for Token {
 
 /// Tokenize source text.
 ///
+/// Works over `char`s, so any non-ASCII character outside a string
+/// literal is a clean [`LangError::Lex`] at its byte offset, never a
+/// slice through a UTF-8 sequence; string literals take any UTF-8.
+///
 /// # Errors
 /// [`LangError::Lex`] on unexpected characters or unterminated
 /// strings.
 pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
     use fro_algebra::CmpOp;
-    let bytes = src.as_bytes();
-    let mut i = 0;
+    let mut chars = src.char_indices().peekable();
     let mut out = Vec::new();
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // Consume the next char when it is `want`.
+    fn eat(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>, want: char) -> bool {
+        chars.next_if(|&(_, c)| c == want).is_some()
+    }
+    while let Some((i, c)) = chars.next() {
         match c {
-            c if c.is_whitespace() => i += 1,
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Cmp(CmpOp::Eq));
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Cmp(CmpOp::Le));
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token::Cmp(CmpOp::Ne));
-                    i += 2;
-                } else {
-                    out.push(Token::Cmp(CmpOp::Lt));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Cmp(CmpOp::Ge));
-                    i += 2;
-                } else {
-                    out.push(Token::Cmp(CmpOp::Gt));
-                    i += 1;
-                }
-            }
+            c if c.is_whitespace() => {}
+            ',' => out.push(Token::Comma),
+            '.' => out.push(Token::Dot),
+            '*' => out.push(Token::Star),
+            '=' => out.push(Token::Cmp(CmpOp::Eq)),
+            '<' => out.push(Token::Cmp(if eat(&mut chars, '=') {
+                CmpOp::Le
+            } else if eat(&mut chars, '>') {
+                CmpOp::Ne
+            } else {
+                CmpOp::Lt
+            })),
+            '>' => out.push(Token::Cmp(if eat(&mut chars, '=') {
+                CmpOp::Ge
+            } else {
+                CmpOp::Gt
+            })),
             '-' => {
                 // `-->` or `->`
-                if bytes.get(i + 1) == Some(&b'-') && bytes.get(i + 2) == Some(&b'>') {
+                if src[i..].starts_with("-->") {
+                    chars.nth(1);
                     out.push(Token::Arrow);
-                    i += 3;
-                } else if bytes.get(i + 1) == Some(&b'>') {
+                } else if eat(&mut chars, '>') {
                     out.push(Token::Arrow);
-                    i += 2;
-                } else if bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
-                    let (v, next) = lex_int(src, i + 1)?;
-                    out.push(Token::Int(-v));
-                    i = next;
+                } else if src[i + 1..].starts_with(|d: char| d.is_ascii_digit()) {
+                    let end = span_end(src, i + 1, |d| d.is_ascii_digit());
+                    out.push(Token::Int(-lex_int(src, i + 1, end)?));
+                    skip_to(&mut chars, end);
                 } else {
                     return Err(LangError::Lex {
                         at: i,
@@ -132,36 +116,25 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
             }
             '\'' => {
                 let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'\'' {
-                    j += 1;
-                }
-                if j >= bytes.len() {
+                let Some(len) = src[start..].find('\'') else {
                     return Err(LangError::Lex {
                         at: i,
                         msg: "unterminated string literal".into(),
                     });
-                }
-                out.push(Token::Str(src[start..j].to_owned()));
-                i = j + 1;
+                };
+                out.push(Token::Str(src[start..start + len].to_owned()));
+                skip_to(&mut chars, start + len + 1);
             }
             c if c.is_ascii_digit() => {
-                let (v, next) = lex_int(src, i)?;
-                out.push(Token::Int(v));
-                i = next;
+                let end = span_end(src, i, |d| d.is_ascii_digit());
+                out.push(Token::Int(lex_int(src, i, end)?));
+                skip_to(&mut chars, end);
             }
-            c if c.is_alphabetic() || c == '_' || c == '@' => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() {
-                    let ch = bytes[j] as char;
-                    if ch.is_alphanumeric() || ch == '_' || ch == '#' || ch == '@' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let word = &src[start..j];
+            c if c.is_ascii_alphabetic() || c == '_' || c == '@' => {
+                let end = span_end(src, i, |d| {
+                    d.is_ascii_alphanumeric() || d == '_' || d == '#' || d == '@'
+                });
+                let word = &src[i..end];
                 out.push(match word.to_ascii_uppercase().as_str() {
                     "SELECT" => Token::Select,
                     "ALL" => Token::All,
@@ -171,7 +144,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                     "AS" => Token::As,
                     _ => Token::Ident(word.to_owned()),
                 });
-                i = j;
+                skip_to(&mut chars, end);
             }
             other => {
                 return Err(LangError::Lex {
@@ -185,19 +158,24 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
     Ok(out)
 }
 
-fn lex_int(src: &str, start: usize) -> Result<(i64, usize), LangError> {
-    let bytes = src.as_bytes();
-    let mut j = start;
-    while j < bytes.len() && bytes[j].is_ascii_digit() {
-        j += 1;
-    }
-    src[start..j]
-        .parse::<i64>()
-        .map(|v| (v, j))
-        .map_err(|e| LangError::Lex {
-            at: start,
-            msg: format!("bad integer: {e}"),
-        })
+/// The byte offset where the run of `keep` chars starting at `start`
+/// ends.
+fn span_end(src: &str, start: usize, keep: impl Fn(char) -> bool) -> usize {
+    src[start..]
+        .find(|c: char| !keep(c))
+        .map_or(src.len(), |n| start + n)
+}
+
+/// Advance `chars` past every char before byte offset `end`.
+fn skip_to(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>, end: usize) {
+    while chars.next_if(|&(k, _)| k < end).is_some() {}
+}
+
+fn lex_int(src: &str, start: usize, end: usize) -> Result<i64, LangError> {
+    src[start..end].parse::<i64>().map_err(|e| LangError::Lex {
+        at: start,
+        msg: format!("bad integer: {e}"),
+    })
 }
 
 #[cfg(test)]
@@ -260,6 +238,26 @@ mod tests {
         assert_eq!(toks[0], Token::Select);
         assert_eq!(toks[1], Token::All);
         assert_eq!(toks[2], Token::From);
+    }
+
+    #[test]
+    fn non_ascii_outside_a_string_is_a_located_lex_error() {
+        // Each used to slice through the middle of a UTF-8 sequence.
+        let src = "Select All From EMPLOYÉ";
+        let at = src.find('É').unwrap();
+        assert!(matches!(lex(src), Err(LangError::Lex { at: a, .. }) if a == at));
+        let src = "Select All From DEPARTMENT Where DEPARTMENT.Location ≠ 'x'";
+        let at = src.find('≠').unwrap();
+        assert!(matches!(lex(src), Err(LangError::Lex { at: a, .. }) if a == at));
+        assert!(matches!(
+            crate::parse(src),
+            Err(LangError::Lex { at: a, .. }) if a == at
+        ));
+        // String literals still take any UTF-8.
+        let toks = lex("Where E.Name = 'Zoë' and E.Rank >= -3").unwrap();
+        assert!(toks.contains(&Token::Str("Zoë".into())));
+        assert!(toks.contains(&Token::Int(-3)));
+        assert!(toks.contains(&Token::Cmp(CmpOp::Ge)));
     }
 
     #[test]

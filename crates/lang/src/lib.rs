@@ -20,7 +20,9 @@
 //! every translation and the test-suite asserts can never fail.
 //!
 //! Pipeline: [`parse()`], then [`translate()`] (ground relations + query
-//! graph + restrictions, with the Theorem 1 analysis attached), then
+//! graph + restrictions, with the Theorem 1 analysis attached; its
+//! instance-free half is [`translate_shape()`], which names each ground
+//! relation by a [`Ground`] spec instead of reading its rows), then
 //! [`run::plan_query()`] — pick any implementing tree, they are all
 //! equivalent, and evaluate — or hand the graph to `fro-core`'s
 //! optimizer (the `fro::Session` front door does the latter).
@@ -56,7 +58,7 @@ pub mod translate;
 
 pub use ast::{FromItem, PathOp, QueryBlock, Rhs, WhereCond};
 pub use error::LangError;
-pub use model::{EntityDb, EntityType, FieldType, FieldValue};
+pub use model::{EntityDb, EntityType, FieldType, FieldValue, Ground};
 pub use parser::parse;
 pub use run::plan_query;
-pub use translate::{translate, TranslatedBlock};
+pub use translate::{translate, translate_shape, BlockShape, TranslatedBlock};

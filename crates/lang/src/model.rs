@@ -14,7 +14,7 @@
 //!   `LinkedTo(@r, @value)` becomes `alias.@Field = derived.@id`.
 
 use crate::error::LangError;
-use fro_algebra::{Relation, Value};
+use fro_algebra::{Relation, Schema, Value};
 use std::collections::BTreeMap;
 
 /// Kinds of entity fields.
@@ -130,39 +130,10 @@ impl EntityDb {
     /// # Errors
     /// [`LangError::UnknownType`] when undeclared.
     pub fn base_relation(&self, type_name: &str, alias: &str) -> Result<Relation, LangError> {
-        let ty = self
-            .types
-            .get(type_name)
-            .ok_or_else(|| LangError::UnknownType(type_name.to_owned()))?;
-        let mut cols: Vec<String> = vec!["@id".to_owned()];
-        for (fname, ftype) in &ty.fields {
-            match ftype {
-                FieldType::Scalar => cols.push(fname.clone()),
-                FieldType::EntityRef(_) => cols.push(format!("@{fname}")),
-                FieldType::SetValued => {}
-            }
+        Ground::Base {
+            ty: type_name.to_owned(),
         }
-        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let mut rows = Vec::new();
-        for e in self.instances(type_name) {
-            let mut row = Vec::with_capacity(cols.len());
-            row.push(Value::Int(e.id as i64));
-            for (fname, ftype) in &ty.fields {
-                match ftype {
-                    FieldType::Scalar => row.push(match e.values.get(fname) {
-                        Some(FieldValue::Scalar(v)) => v.clone(),
-                        _ => Value::Null,
-                    }),
-                    FieldType::EntityRef(_) => row.push(match e.values.get(fname) {
-                        Some(FieldValue::Ref(Some(id))) => Value::Int(*id as i64),
-                        _ => Value::Null,
-                    }),
-                    FieldType::SetValued => {}
-                }
-            }
-            rows.push(row);
-        }
-        Ok(Relation::from_values(alias, &col_refs, rows))
+        .materialize(self, alias)
     }
 
     /// Materialize the unnest relation for set field `field` of
@@ -178,34 +149,159 @@ impl EntityDb {
         field: &str,
         alias: &str,
     ) -> Result<Relation, LangError> {
+        Ground::UnNest {
+            ty: type_name.to_owned(),
+            field: field.to_owned(),
+        }
+        .materialize(self, alias)
+    }
+
+    /// The columns of `ground`'s relation in stored order — the one
+    /// place column names and order are decided, read by both the
+    /// schema-only path ([`Ground::schema`]) and materialization.
+    fn columns<'a>(&'a self, ground: &'a Ground) -> Result<Vec<Column<'a>>, LangError> {
+        let ty = ground.entity_type();
         let ty = self
             .types
-            .get(type_name)
-            .ok_or_else(|| LangError::UnknownType(type_name.to_owned()))?;
-        match ty.field(field) {
-            Some(FieldType::SetValued) => {}
-            Some(_) => {
-                return Err(LangError::WrongFieldKind {
-                    field: field.to_owned(),
-                    expected: "set-valued",
-                })
-            }
-            None => {
-                return Err(LangError::UnknownField {
-                    field: field.to_owned(),
-                    item: type_name.to_owned(),
-                })
-            }
-        }
-        let mut rows = Vec::new();
-        for e in self.instances(type_name) {
-            if let Some(FieldValue::Set(items)) = e.values.get(field) {
-                for v in items {
-                    rows.push(vec![Value::Int(e.id as i64), v.clone()]);
+            .get(ty)
+            .ok_or_else(|| LangError::UnknownType(ty.to_owned()))?;
+        match ground {
+            Ground::Base { .. } => {
+                let mut cols = vec![Column::Id];
+                for (fname, ftype) in &ty.fields {
+                    match ftype {
+                        FieldType::Scalar => cols.push(Column::Scalar(fname)),
+                        FieldType::EntityRef(_) => cols.push(Column::Ref(fname)),
+                        FieldType::SetValued => {}
+                    }
                 }
+                Ok(cols)
             }
+            Ground::UnNest { field, .. } => match ty.field(field) {
+                Some(FieldType::SetValued) => Ok(vec![Column::Owner, Column::Element(field)]),
+                Some(_) => Err(LangError::WrongFieldKind {
+                    field: field.clone(),
+                    expected: "set-valued",
+                }),
+                None => Err(LangError::UnknownField {
+                    field: field.clone(),
+                    item: ty.name.clone(),
+                }),
+            },
         }
-        Ok(Relation::from_values(alias, &["@owner", field], rows))
+    }
+}
+
+/// The ground relation one alias of a §5.2 translation stands for,
+/// as a spec over the model's type schemas: its columns are known
+/// without reading an instance, its rows only when
+/// [`Ground::materialize`] reads them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Ground {
+    /// The base relation of an entity type (a From-item base or a
+    /// `-->` link target).
+    Base {
+        /// The entity type.
+        ty: String,
+    },
+    /// The unnest relation of a set-valued field (a `*` step).
+    UnNest {
+        /// The owning entity type.
+        ty: String,
+        /// The set-valued field.
+        field: String,
+    },
+}
+
+impl Ground {
+    /// The entity type whose instances feed this relation.
+    fn entity_type(&self) -> &str {
+        match self {
+            Ground::Base { ty } | Ground::UnNest { ty, .. } => ty,
+        }
+    }
+
+    /// The relation's scheme under qualifier `alias`, from the type
+    /// schemas alone.
+    ///
+    /// # Errors
+    /// [`LangError`] for unknown types/fields or non-set fields.
+    pub(crate) fn schema(&self, edb: &EntityDb, alias: &str) -> Result<Schema, LangError> {
+        let names: Vec<String> = edb.columns(self)?.iter().map(Column::name).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        Ok(Schema::of_relation(alias, &names))
+    }
+
+    /// Read the relation's rows from `edb`, under qualifier `alias`.
+    /// A base relation has one row per instance; an unnest relation
+    /// one row per set element, so an empty set contributes none.
+    ///
+    /// # Errors
+    /// [`LangError`] for unknown types/fields or non-set fields.
+    pub fn materialize(&self, edb: &EntityDb, alias: &str) -> Result<Relation, LangError> {
+        let cols = edb.columns(self)?;
+        let row = |e: &Entity, element: Option<&Value>| -> Vec<Value> {
+            cols.iter().map(|c| c.value(e, element)).collect()
+        };
+        let entities = edb.instances(self.entity_type());
+        let rows: Vec<Vec<Value>> = match self {
+            Ground::Base { .. } => entities.iter().map(|e| row(e, None)).collect(),
+            Ground::UnNest { field, .. } => entities
+                .iter()
+                .flat_map(|e| {
+                    let items = match e.values.get(field) {
+                        Some(FieldValue::Set(items)) => items.as_slice(),
+                        _ => &[],
+                    };
+                    items.iter().map(move |v| row(e, Some(v)))
+                })
+                .collect(),
+        };
+        let names: Vec<String> = cols.iter().map(Column::name).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        Ok(Relation::from_values(alias, &names, rows))
+    }
+}
+
+/// One column of a ground relation and the entity data it reads.
+enum Column<'a> {
+    /// The surrogate `@id` of a base relation.
+    Id,
+    /// A scalar field, null when unset.
+    Scalar(&'a str),
+    /// `@F` for entity-valued field `F`: the referenced id, or null.
+    Ref(&'a str),
+    /// The surrogate `@owner` of an unnest relation.
+    Owner,
+    /// The set element of an unnest relation, named after its field.
+    Element(&'a str),
+}
+
+impl Column<'_> {
+    fn name(&self) -> String {
+        match self {
+            Column::Id => "@id".to_owned(),
+            Column::Owner => "@owner".to_owned(),
+            Column::Scalar(f) | Column::Element(f) => (*f).to_owned(),
+            Column::Ref(f) => format!("@{f}"),
+        }
+    }
+
+    /// This column's value on entity `e` (and, in an unnest relation,
+    /// on one `element` of its set).
+    fn value(&self, e: &Entity, element: Option<&Value>) -> Value {
+        match self {
+            Column::Id | Column::Owner => Value::Int(e.id as i64),
+            Column::Scalar(f) => match e.values.get(*f) {
+                Some(FieldValue::Scalar(v)) => v.clone(),
+                _ => Value::Null,
+            },
+            Column::Ref(f) => match e.values.get(*f) {
+                Some(FieldValue::Ref(Some(id))) => Value::Int(*id as i64),
+                _ => Value::Null,
+            },
+            Column::Element(_) => element.cloned().unwrap_or(Value::Null),
+        }
     }
 }
 

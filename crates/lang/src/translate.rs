@@ -1,6 +1,6 @@
 //! §5.2: expressing UnNest and Link with outerjoins.
 //!
-//! Each From-item step materializes a fresh derived relation and one
+//! Each From-item step introduces a fresh derived relation and one
 //! directed outerjoin edge toward it:
 //!
 //! * `A*F`  ⇒ relation `A_F(@owner, F)` and edge
@@ -17,11 +17,17 @@
 //! The §5.3 observation is then checked, not assumed: the resulting
 //! graph must be nice with strong predicates, i.e. *freely
 //! reorderable*, so the evaluator may pick any implementing tree.
+//!
+//! The walk reads type schemas only ([`translate_shape`]): each alias
+//! comes back as a [`Ground`] spec, and [`translate`] materializes the
+//! specs' rows afterwards. By Theorem 1 the graph is the block's
+//! identity, so a caller whose ground tables are already loaded plans
+//! from the shape alone and never touches an instance.
 
 use crate::ast::{PathOp, QueryBlock, Rhs};
 use crate::error::LangError;
-use crate::model::{EntityDb, FieldType};
-use fro_algebra::{Database, Interner, Pred, Scalar};
+use crate::model::{EntityDb, FieldType, Ground};
+use fro_algebra::{Database, Interner, Pred, Scalar, Schema};
 use fro_core::reorder::{analyze_graph, Analysis, Policy};
 use fro_graph::QueryGraph;
 use std::collections::BTreeMap;
@@ -49,6 +55,27 @@ pub struct TranslatedBlock {
     pub interner: Interner,
 }
 
+/// The instance-free part of a translation ([`translate_shape`]): every
+/// [`TranslatedBlock`] field but the ground rows, plus the spec each
+/// alias's relation is read from.
+#[derive(Debug, Clone)]
+pub struct BlockShape {
+    /// The join/outerjoin query graph of the block.
+    pub graph: QueryGraph,
+    /// Post-block restrictions, as in [`TranslatedBlock`].
+    pub restrictions: Vec<Pred>,
+    /// The Theorem 1 analysis (always freely reorderable per §5.3).
+    pub analysis: Analysis,
+    /// Aliases introduced as From-item bases.
+    pub base_aliases: Vec<String>,
+    /// Aliases introduced by `*`/`-->`.
+    pub derived_aliases: Vec<String>,
+    /// Name ↔ id resolution, built from the type schemas.
+    pub interner: Interner,
+    /// One ground spec per alias, in graph-node order.
+    pub grounds: Vec<(String, Ground)>,
+}
+
 /// A relation accumulated while walking one From-item: its alias and,
 /// when it is an entity relation, its type (UnNest results carry no
 /// further fields).
@@ -57,14 +84,49 @@ struct Accumulated {
     entity_type: Option<String>,
 }
 
-/// Translate a parsed block against an entity database.
+/// Translate a parsed block against an entity database: the
+/// [`translate_shape`] walk, then each alias's relation materialized
+/// from its [`Ground`] spec.
 ///
 /// # Errors
 /// Any [`LangError`] from name resolution, the §5.1 Where-List
 /// restriction, or (defensively) a failed §5.3 check.
 pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, LangError> {
+    let BlockShape {
+        graph,
+        restrictions,
+        analysis,
+        base_aliases,
+        derived_aliases,
+        interner,
+        grounds,
+    } = translate_shape(block, edb)?;
     let mut database = Database::new();
-    let mut aliases: Vec<String> = Vec::new();
+    for (alias, ground) in grounds {
+        let rel = ground.materialize(edb, &alias)?;
+        database.insert_named(alias, rel);
+    }
+    Ok(TranslatedBlock {
+        graph,
+        database,
+        restrictions,
+        analysis,
+        base_aliases,
+        derived_aliases,
+        interner,
+    })
+}
+
+/// The §5.2 translation from type schemas alone: graph, restrictions,
+/// §5.3 analysis, alias lists and interner, plus one [`Ground`] spec
+/// per alias. No entity instance is read, so the cost is O(query)
+/// whatever the size of the model.
+///
+/// # Errors
+/// As [`translate`].
+pub fn translate_shape(block: &QueryBlock, edb: &EntityDb) -> Result<BlockShape, LangError> {
+    let mut grounds: Vec<(String, Ground)> = Vec::new();
+    let mut interner = Interner::new();
     let mut base_aliases = Vec::new();
     let mut derived_aliases = Vec::new();
     // alias -> (attr names available), for WHERE validation.
@@ -77,30 +139,33 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
     }
     let mut oj_edges: Vec<OjEdge> = Vec::new();
 
-    let claim_alias = |aliases: &mut Vec<String>, a: &str| -> Result<(), LangError> {
-        if aliases.iter().any(|x| x == a) {
-            return Err(LangError::DuplicateAlias(a.to_owned()));
+    // Claim an alias for a ground relation: reject a duplicate, resolve
+    // the relation's scheme, and intern it. Claim order is graph-node
+    // order, so relation ids and node ids coincide; attributes resolve
+    // to (rel, column) here and never again.
+    let mut claim = |alias: &str, ground: Ground| -> Result<Schema, LangError> {
+        if grounds.iter().any(|(a, _)| a == alias) {
+            return Err(LangError::DuplicateAlias(alias.to_owned()));
         }
-        aliases.push(a.to_owned());
-        Ok(())
+        let schema = ground.schema(edb, alias)?;
+        interner.register_relation(alias, &schema);
+        grounds.push((alias.to_owned(), ground));
+        Ok(schema)
     };
 
     for item in &block.from {
         let ty = edb
             .entity_type(&item.base)
             .ok_or_else(|| LangError::UnknownType(item.base.clone()))?;
-        claim_alias(&mut aliases, &item.alias)?;
+        let ground = Ground::Base {
+            ty: ty.name.clone(),
+        };
+        let schema = claim(&item.alias, ground)?;
         base_aliases.push(item.alias.clone());
-        let rel = edb.base_relation(&ty.name, &item.alias)?;
         base_attrs.insert(
             item.alias.clone(),
-            rel.schema()
-                .attrs()
-                .iter()
-                .map(|a| a.name().to_owned())
-                .collect(),
+            schema.attrs().iter().map(|a| a.name().to_owned()).collect(),
         );
-        database.insert_named(item.alias.clone(), rel);
 
         let mut acc = vec![Accumulated {
             alias: item.alias.clone(),
@@ -137,10 +202,12 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
 
             match (ftype, want_set) {
                 (FieldType::SetValued, true) => {
-                    claim_alias(&mut aliases, &derived_alias)?;
+                    let ground = Ground::UnNest {
+                        ty: owner_type,
+                        field: field.clone(),
+                    };
+                    claim(&derived_alias, ground)?;
                     derived_aliases.push(derived_alias.clone());
-                    let rel = edb.unnest_relation(&owner_type, field, &derived_alias)?;
-                    database.insert_named(derived_alias.clone(), rel);
                     // NestedIn(@r, @value): owner.@id = derived.@owner.
                     oj_edges.push(OjEdge {
                         from: owner_alias,
@@ -156,10 +223,8 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
                     });
                 }
                 (FieldType::EntityRef(target), false) => {
-                    claim_alias(&mut aliases, &derived_alias)?;
+                    claim(&derived_alias, Ground::Base { ty: target.clone() })?;
                     derived_aliases.push(derived_alias.clone());
-                    let rel = edb.base_relation(target, &derived_alias)?;
-                    database.insert_named(derived_alias.clone(), rel);
                     // LinkedTo(@r, @value): owner.@F = derived.@id.
                     oj_edges.push(OjEdge {
                         from: owner_alias.clone(),
@@ -224,7 +289,7 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
     }
 
     // Assemble the graph.
-    let mut graph = QueryGraph::new(aliases.clone());
+    let mut graph = QueryGraph::new(grounds.iter().map(|(a, _)| a.clone()).collect());
     for (a, b, p) in join_conds {
         let ia = graph.node_id(&a).expect("alias registered");
         let ib = graph.node_id(&b).expect("alias registered");
@@ -250,23 +315,14 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
         return Err(LangError::NotReorderable(analysis.to_string()));
     }
 
-    // Intern every alias in graph-node order so relation ids and node
-    // ids coincide; attributes resolve to (rel, column) here and never
-    // again.
-    let mut interner = Interner::new();
-    for alias in graph.node_names() {
-        let rel = database.get(alias).expect("every node has a relation");
-        interner.register_relation(alias, rel.schema());
-    }
-
-    Ok(TranslatedBlock {
+    Ok(BlockShape {
         graph,
-        database,
         restrictions,
         analysis,
         base_aliases,
         derived_aliases,
         interner,
+        grounds,
     })
 }
 
@@ -415,6 +471,35 @@ mod tests {
             for a in rel.schema().attrs() {
                 assert!(t.interner.attr_id(a).is_some(), "unresolved {a}");
             }
+        }
+    }
+
+    #[test]
+    fn shape_needs_only_type_schemas() {
+        let block = parse(
+            "Select All From EMPLOYEE*ChildName, DEPARTMENT-->Manager-->Audit \
+             Where EMPLOYEE.D# = DEPARTMENT.D#",
+        )
+        .unwrap();
+        let world = paper_world();
+        let full = translate(&block, &world).unwrap();
+        // The same types without a single instance.
+        let mut bare = EntityDb::new();
+        for name in ["EMPLOYEE", "DEPARTMENT", "REPORT"] {
+            let ty = world.entity_type(name).unwrap();
+            let fields = ty.fields.iter().map(|(f, t)| (f.as_str(), t.clone()));
+            bare.declare(name, fields.collect());
+        }
+        let shape = translate_shape(&block, &bare).unwrap();
+        assert_eq!(format!("{:?}", shape.graph), format!("{:?}", full.graph));
+        assert_eq!(shape.restrictions, full.restrictions);
+        assert_eq!(shape.grounds.len(), full.graph.n_nodes());
+        for (i, (alias, ground)) in shape.grounds.iter().enumerate() {
+            assert_eq!(full.graph.node_name(i), alias);
+            assert_eq!(shape.interner.rel_id(alias).unwrap().index(), i);
+            let stored = full.database.get(alias).unwrap();
+            assert_eq!(&ground.materialize(&world, alias).unwrap(), stored);
+            assert_eq!(&ground.schema(&bare, alias).unwrap(), &**stored.schema());
         }
     }
 

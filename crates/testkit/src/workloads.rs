@@ -420,6 +420,49 @@ pub fn synthetic_entity_world(
     db
 }
 
+/// A §5 query block source over the paper world's schema (and
+/// [`synthetic_entity_world`]'s, which lacks `Secretary`), for the
+/// language property suites. Path steps are chosen from the fields
+/// valid at each point, so most (not all) generated blocks are
+/// well-formed.
+pub fn block_source(
+    emp_steps: &[usize],
+    dept_steps: &[usize],
+    join_on_dno: bool,
+    rank_filter: Option<i64>,
+    location: Option<bool>,
+) -> String {
+    let emp_ops = ["*ChildName"];
+    let dept_ops = ["-->Manager", "-->Secretary", "-->Audit"];
+    let mut from = String::from("EMPLOYEE");
+    for &s in emp_steps {
+        from.push_str(emp_ops[s % emp_ops.len()]);
+    }
+    from.push_str(", DEPARTMENT");
+    for &s in dept_steps {
+        from.push_str(dept_ops[s % dept_ops.len()]);
+    }
+    let mut conds: Vec<String> = Vec::new();
+    if join_on_dno {
+        conds.push("EMPLOYEE.D# = DEPARTMENT.D#".to_owned());
+    }
+    if let Some(r) = rank_filter {
+        conds.push(format!("EMPLOYEE.Rank > {r}"));
+    }
+    if let Some(q) = location {
+        conds.push(format!(
+            "DEPARTMENT.Location = '{}'",
+            if q { "Queretaro" } else { "Zurich" }
+        ));
+    }
+    let mut src = format!("Select All From {from}");
+    if !conds.is_empty() {
+        src.push_str(" Where ");
+        src.push_str(&conds.join(" and "));
+    }
+    src
+}
+
 /// One named, fully deterministic optimizer workload: storage with
 /// exact statistics plus a query — the unit of the EXPLAIN regression
 /// corpus (`corpus/plans/`).

@@ -58,6 +58,15 @@ echo "== standing-query maintenance properties =="
 # a failure names itself).
 cargo test -q --test standing_property
 
+echo "== text-query session properties =="
+# Two sessions with different entity models over one SharedDb: random
+# §5 queries (aliases that change entity type included), table loads,
+# appends, deletes and raw mutations; every result set-equal to the
+# reference evaluator on the querying session's own model, so the
+# ground-table stamps never serve a stale table (also covered by the
+# plain `cargo test` above; standalone so a failure names itself).
+cargo test -q --test text_session_property
+
 echo "== benchmark self-test (perfbench, tiny scale) =="
 # The benchmark builds against the library's public API; its self-test
 # checks every declared metric is emitted and that a wrong result or a

@@ -42,7 +42,10 @@ use std::thread::JoinHandle;
 
 /// Per-connection session configuration for a [`Server`]: every
 /// accepted connection gets a fresh [`Session`] with this policy,
-/// execution config and (optional) entity model.
+/// execution config and (optional) entity model. The server wraps the
+/// model in one `Arc` that every connection shares, so a connection
+/// costs no copy of it and all of them find the same ground tables
+/// stamped valid.
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
     /// Reordering policy for every connection's optimizer.
@@ -80,6 +83,8 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let ServerOptions { policy, exec, edb } = opts;
+        let edb = edb.map(Arc::new);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
         let accept = std::thread::spawn(move || {
@@ -94,7 +99,7 @@ impl Server {
                 // Frames are small and latency-bound; don't let Nagle
                 // batch them against the client's delayed ACKs.
                 let _ = stream.set_nodelay(true);
-                let session = connection_session(&db, &opts);
+                let session = connection_session(&db, policy, exec, edb.as_ref());
                 let stop_conn = Arc::clone(&stop_accept);
                 std::thread::spawn(move || {
                     let _ = serve_connection(stream, &session, &stop_conn);
@@ -132,12 +137,17 @@ impl Drop for Server {
     }
 }
 
-fn connection_session(db: &Arc<SharedDb>, opts: &ServerOptions) -> Session {
+fn connection_session(
+    db: &Arc<SharedDb>,
+    policy: Policy,
+    exec: ExecConfig,
+    edb: Option<&Arc<EntityDb>>,
+) -> Session {
     let session = Session::connect(db)
-        .with_policy(opts.policy)
-        .with_exec_config(opts.exec);
-    match &opts.edb {
-        Some(edb) => session.with_entity_db(edb.clone()),
+        .with_policy(policy)
+        .with_exec_config(exec);
+    match edb {
+        Some(edb) => session.with_shared_entity_db(Arc::clone(edb)),
         None => session,
     }
 }
@@ -473,6 +483,45 @@ mod tests {
         // The connection survives a query error.
         let (out, _) = client.query(SRC).unwrap();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn a_non_ascii_query_is_a_lex_error_and_keeps_the_connection() {
+        let (server, _db) = served_world();
+        let mut client = Client::connect(server.addr()).unwrap();
+        for bad in [
+            "Select All From EMPLOYÉ",
+            "Select All From DEPARTMENT Where DEPARTMENT.Location ≠ 'x'",
+        ] {
+            match client.query(bad).unwrap_err() {
+                FroError::Remote { ref code, .. } => assert_eq!(code, "LANG_LEX"),
+                other => panic!("expected remote error, got {other:?}"),
+            }
+        }
+        let (out, _) = client.query(SRC).unwrap();
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn alternating_clients_read_no_ground_rows_once_warm() {
+        const LINK: &str = "Select All From DEPARTMENT-->Manager Where DEPARTMENT.D# > 1";
+        let (server, db) = served_world();
+        let mut a = Client::connect(server.addr()).unwrap();
+        let mut b = Client::connect(server.addr()).unwrap();
+        let warm = [a.query(SRC).unwrap().0, b.query(LINK).unwrap().0];
+        let read = db.ground_rows_materialized();
+        let epoch = db.snapshot().storage().epoch();
+        for i in 0..20 {
+            let client = if i % 2 == 0 { &mut a } else { &mut b };
+            let src = [SRC, LINK][i % 4 / 2];
+            assert_eq!(client.query(src).unwrap().0, warm[i % 4 / 2]);
+        }
+        assert_eq!(
+            db.ground_rows_materialized(),
+            read,
+            "connections share one model"
+        );
+        assert_eq!(db.snapshot().storage().epoch(), epoch);
     }
 
     #[test]

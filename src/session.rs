@@ -22,13 +22,13 @@
 //! [`Prepared::run`] executes against the snapshot's storage.
 
 use crate::error::FroError;
-use crate::shared::{register_stats, DbState, SharedDb};
+use crate::shared::{DbState, SharedDb};
 use crate::standing::{Registered, StandingCounters, StandingId};
 use fro_algebra::{Attr, Query, Relation, Tuple};
 use fro_core::optimizer::{optimize_with_reduce, CacheLoad, CacheStats, Optimized};
 use fro_core::{Catalog, Policy, ReducePolicy};
 use fro_exec::{execute_with, ExecConfig, ExecStats, PhysPlan, Storage};
-use fro_lang::{parse, translate, EntityDb, LangError};
+use fro_lang::{parse, translate_shape, EntityDb, LangError};
 use fro_trees::some_implementing_tree;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -42,7 +42,9 @@ pub struct Session {
     policy: Policy,
     reduce_policy: ReducePolicy,
     exec_config: ExecConfig,
-    edb: Option<EntityDb>,
+    /// Shared, so cloning a session never copies the model; its `Arc`
+    /// identity is what the ground stamps record.
+    edb: Option<Arc<EntityDb>>,
     local: Cell<CacheStats>,
     local_maint: Cell<ExecStats>,
 }
@@ -70,10 +72,7 @@ impl Session {
     /// A session over an entity model, enabling [`Session::query`].
     #[must_use]
     pub fn from_entity_db(edb: EntityDb) -> Session {
-        Session {
-            edb: Some(edb),
-            ..Session::default()
-        }
+        Session::default().with_entity_db(edb)
     }
 
     /// A new handle over an existing shared database. Handles are
@@ -124,7 +123,13 @@ impl Session {
     /// Attach an entity model (builder style), enabling
     /// [`Session::query`].
     #[must_use]
-    pub fn with_entity_db(mut self, edb: EntityDb) -> Session {
+    pub fn with_entity_db(self, edb: EntityDb) -> Session {
+        self.with_shared_entity_db(Arc::new(edb))
+    }
+
+    /// Attach an entity model shared with other sessions, so all of
+    /// them find each other's ground stamps valid.
+    pub(crate) fn with_shared_entity_db(mut self, edb: Arc<EntityDb>) -> Session {
         self.edb = Some(edb);
         self
     }
@@ -300,13 +305,24 @@ impl Session {
 
     /// Parse, translate and optimize a §5 UnNest/Link query block.
     ///
-    /// The block's ground relations (bases and derived) are synced
-    /// into the shared database only when their content actually
-    /// differs from what is stored, so repeating a query keeps the
-    /// epoch — and with it the plan cache — warm across every session.
-    /// Where-List restrictions are applied as filters above the
-    /// reordered join tree, exactly where the reference evaluator puts
-    /// them.
+    /// Translation builds only the block's graph and the spec of each
+    /// ground relation (one stored table per alias); by Theorem 1 the
+    /// graph alone picks the plan. The shared database stamps each
+    /// ground table with the model and spec it was last found equal
+    /// to, valid at one storage generation. When every alias is
+    /// stamped for this session's model at the current generation, the
+    /// query plans on that snapshot without reading a row. Otherwise
+    /// the unstamped relations are materialized and compared with
+    /// storage, only the ones that differ are loaded, and the aliases
+    /// are stamped again. Every [`SharedDb::mutate`] bumps the
+    /// generation; appends, deletes and table loads invalidate the
+    /// stamps of the tables they touch, and a raw `mutate` all of
+    /// them — so a ground table someone else edited is reloaded from
+    /// the model, which stays the source of truth. Repeating a query
+    /// keeps the epoch, and with it the plan cache, warm across every
+    /// session. Where-List restrictions are applied as filters above
+    /// the reordered join tree, exactly where the reference evaluator
+    /// puts them.
     ///
     /// # Errors
     /// [`FroError::NoEntityModel`] without an entity model;
@@ -329,10 +345,10 @@ impl Session {
     fn optimize_src(&self, src: &str) -> Result<(Arc<DbState>, Optimized), FroError> {
         let edb = self.edb.as_ref().ok_or(FroError::NoEntityModel)?;
         let block = parse(src)?;
-        let t = translate(&block, edb)?;
+        let t = translate_shape(&block, edb)?;
         let tree =
             some_implementing_tree(&t.graph).ok_or(FroError::Lang(LangError::Disconnected))?;
-        let state = self.sync_tables(&t.database);
+        let state = self.db.sync_ground(edb, &t.grounds)?;
         let optimized =
             optimize_with_reduce(&tree, state.catalog(), self.policy, self.reduce_policy)?;
         self.absorb(&optimized.cache);
@@ -441,37 +457,6 @@ impl Session {
     #[must_use]
     pub fn local_maintenance_stats(&self) -> ExecStats {
         self.local_maint.get()
-    }
-
-    /// Sync a translated block's relations into the shared database,
-    /// mutating only when some relation's stored content differs —
-    /// an untouched database keeps its epoch, so the plan cache stays
-    /// warm across repeated queries from any session. Returns the
-    /// generation to plan against.
-    fn sync_tables(&self, db: &fro_algebra::Database) -> Arc<DbState> {
-        let state = self.db.snapshot();
-        let synced = db.iter().all(|(name, rel)| {
-            state
-                .storage()
-                .rel_id(name)
-                .and_then(|id| state.storage().get_by_id(id))
-                .is_some_and(|table| table.relation() == rel)
-        });
-        if synced {
-            return state;
-        }
-        self.db.mutate(|catalog, storage| {
-            for (name, rel) in db.iter() {
-                let stored = storage
-                    .rel_id(name)
-                    .and_then(|id| storage.get_by_id(id))
-                    .is_some_and(|table| table.relation() == rel);
-                if !stored {
-                    register_stats(catalog, name, storage.insert(name, rel.clone()));
-                }
-            }
-        });
-        self.db.snapshot()
     }
 }
 
@@ -682,6 +667,79 @@ mod tests {
         assert_eq!(again.optimized().pairs_examined, 0);
         assert!(again.optimized().cache.hits >= 1);
         assert!(again.run().unwrap().set_eq(&out));
+    }
+
+    /// The perfbench mix plus blocks with links, aliases and a
+    /// same-alias restriction. No alias names two different ground
+    /// relations: one that did would reload its table on every switch.
+    const MIX: [&str; 8] = [
+        "Select All From EMPLOYEE*ChildName, DEPARTMENT \
+         Where EMPLOYEE.D# = DEPARTMENT.D# and DEPARTMENT.Location = 'Queretaro'",
+        "Select All From DEPARTMENT, EMPLOYEE*ChildName \
+         Where DEPARTMENT.D# = EMPLOYEE.D# and DEPARTMENT.Location = 'Queretaro'",
+        "Select All From EMPLOYEE*ChildName, DEPARTMENT-->Manager \
+         Where EMPLOYEE.D# = DEPARTMENT.D# and EMPLOYEE.Rank > 10",
+        "Select All From DEPARTMENT-->Audit",
+        "Select All From DEPARTMENT-->Manager, EMPLOYEE \
+         Where DEPARTMENT.D# = EMPLOYEE.D# and EMPLOYEE.Rank > 17",
+        "Select All From EMPLOYEE*ChildName Where EMPLOYEE.Rank > 15",
+        "Select All From EMPLOYEE AS E, DEPARTMENT AS D-->Manager Where E.D# = D.D#",
+        "Select All From DEPARTMENT AS X-->Audit Where X.D# = X.D#",
+    ];
+
+    #[test]
+    fn warm_text_queries_read_no_ground_rows() {
+        let world = fro_testkit::workloads::synthetic_entity_world(50, 20, 7);
+        let s = Session::from_entity_db(world);
+        let warm: Vec<Relation> = MIX
+            .iter()
+            .map(|q| s.query(q).unwrap().run().unwrap())
+            .collect();
+        let read = s.shared().ground_rows_materialized();
+        assert!(read > 0, "the warm pass loads the ground tables");
+        let epoch = s.storage().epoch();
+        let mut k = 7usize;
+        for _ in 0..100 {
+            k = (k * 5 + 3) % MIX.len();
+            let out = s.query(MIX[k]).unwrap().run().unwrap();
+            assert_eq!(out, warm[k], "{}", MIX[k]);
+        }
+        assert_eq!(s.shared().ground_rows_materialized(), read, "no row read");
+        assert_eq!(s.storage().epoch(), epoch, "no table reloaded");
+    }
+
+    #[test]
+    fn an_append_rematerializes_only_the_touched_alias_once() {
+        use fro_algebra::Value;
+        let src = MIX[0];
+        let s = Session::from_entity_db(paper_world());
+        let before = s.query(src).unwrap().run().unwrap();
+        let read = s.shared().ground_rows_materialized();
+        // A Queretaro employee the model does not have.
+        let stray = Tuple::new(vec![
+            Value::Int(99),
+            Value::str("Zed"),
+            Value::Int(1),
+            Value::Int(5),
+        ]);
+        assert!(s.append_rows("EMPLOYEE", vec![stray.clone()]));
+        let after = s.query(src).unwrap().run().unwrap();
+        assert_eq!(after, before, "the model stays the source of truth");
+        let employees = paper_world().instances("EMPLOYEE").len() as u64;
+        assert_eq!(
+            s.shared().ground_rows_materialized() - read,
+            employees,
+            "only EMPLOYEE is read again; EMPLOYEE_ChildName and DEPARTMENT stay stamped"
+        );
+        let storage = s.storage();
+        let table = storage
+            .get_by_id(storage.rel_id("EMPLOYEE").unwrap())
+            .unwrap();
+        assert!(!table.relation().rows().contains(&stray), "stray row gone");
+        drop(storage);
+        let read = s.shared().ground_rows_materialized();
+        s.query(src).unwrap().run().unwrap();
+        assert_eq!(s.shared().ground_rows_materialized(), read, "stamped again");
     }
 
     #[test]

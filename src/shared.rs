@@ -18,13 +18,27 @@
 //! sound cross-session key; alpha-equivalent queries from different
 //! clients collapse onto one cache entry).
 //!
+//! §5 text queries keep their ground relations (one stored table per
+//! alias) in the same storage. A small **stamp table** records, per
+//! alias, which entity model and which [`Ground`] spec the stored
+//! table was last found equal to, valid at exactly one generation:
+//! every [`SharedDb::mutate`] bumps the generation. The front doors
+//! that know which tables they rewrite (table loads, appends, deletes,
+//! index and statistics changes) carry every other stamp over to the
+//! new generation; a raw `mutate` carries none. A text query whose
+//! aliases are all stamped for its model at the current generation
+//! plans on that snapshot without reading a row.
+//!
 //! [`Session`]: crate::Session
 
 use crate::standing::{self, Registry};
 use fro_algebra::{Attr, Relation, Tuple};
 use fro_core::Catalog;
 use fro_exec::{ExecStats, RowDelta, Storage, Table};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use fro_lang::{EntityDb, Ground, LangError};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 
 /// One immutable generation of the database: catalog + storage,
 /// derived together so ids, statistics and stored rows always agree.
@@ -32,6 +46,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 pub struct DbState {
     catalog: Catalog,
     storage: Storage,
+    /// Bumped by every mutation; ground stamps name the generation
+    /// they hold at.
+    generation: u64,
 }
 
 impl DbState {
@@ -59,6 +76,91 @@ pub struct SharedDb {
     /// mutate-then-fan-out sequence so base deltas reach every view in
     /// publication order.
     standing: Mutex<Registry>,
+    /// Which stored tables hold which model's ground relations. Lock
+    /// order: after `state`.
+    stamps: Mutex<Stamps>,
+    /// Ground rows read from entity models by [`SharedDb::sync_ground`].
+    ground_rows: AtomicU64,
+}
+
+/// The ground stamp table: alias → the model and spec its stored table
+/// was found equal to, at one generation.
+#[derive(Debug, Default)]
+struct Stamps {
+    generation: u64,
+    by_alias: HashMap<String, Stamp>,
+}
+
+#[derive(Debug)]
+struct Stamp {
+    /// The model's identity. A `Weak` keeps the allocation, so the
+    /// address cannot be reused by another model while stamped.
+    model: Weak<EntityDb>,
+    ground: Ground,
+}
+
+impl Stamps {
+    /// Whether `alias`'s stored table at `generation` is known to equal
+    /// `ground` materialized from `model`.
+    fn holds(&self, generation: u64, model: &Arc<EntityDb>, alias: &str, ground: &Ground) -> bool {
+        self.generation == generation
+            && self.by_alias.get(alias).is_some_and(|s| {
+                std::ptr::eq(s.model.as_ptr(), Arc::as_ptr(model)) && s.ground == *ground
+            })
+    }
+
+    /// Record that every alias of `grounds` held at `generation`. A
+    /// table already moved to a later generation keeps its stamps.
+    fn record(&mut self, generation: u64, model: &Arc<EntityDb>, grounds: &[(String, Ground)]) {
+        if generation < self.generation {
+            return;
+        }
+        if generation > self.generation {
+            self.generation = generation;
+            self.by_alias.clear();
+        }
+        for (alias, ground) in grounds {
+            let stamp = Stamp {
+                model: Arc::downgrade(model),
+                ground: ground.clone(),
+            };
+            self.by_alias.insert(alias.clone(), stamp);
+        }
+    }
+
+    /// Carry the stamps across one mutation to `generation` that
+    /// rewrote only the tables in `touched`; `None` (unknown tables)
+    /// carries nothing, leaving every stamp at a past generation.
+    fn carry(&mut self, generation: u64, touched: Option<&[String]>) {
+        if let (Some(touched), true) = (touched, self.generation + 1 == generation) {
+            self.generation = generation;
+            for name in touched {
+                self.by_alias.remove(name);
+            }
+        }
+    }
+}
+
+/// Store each relation whose table differs from it, registering its
+/// statistics (which bumps the catalog epoch).
+fn load_differing(db: &mut DbState, rels: Vec<(String, Relation)>) {
+    for (name, rel) in rels {
+        if !stored_as(&db.storage, &name, &rel) {
+            register_stats(
+                &mut db.catalog,
+                &name,
+                db.storage.insert(name.as_str(), rel),
+            );
+        }
+    }
+}
+
+/// Whether `storage` holds `rel` under `name`.
+fn stored_as(storage: &Storage, name: &str, rel: &Relation) -> bool {
+    storage
+        .rel_id(name)
+        .and_then(|id| storage.get_by_id(id))
+        .is_some_and(|table| table.relation() == rel)
 }
 
 impl SharedDb {
@@ -76,8 +178,9 @@ impl SharedDb {
             state: RwLock::new(Arc::new(DbState {
                 catalog: Catalog::from_storage(&storage),
                 storage,
+                generation: 0,
             })),
-            standing: Mutex::default(),
+            ..SharedDb::default()
         })
     }
 
@@ -94,15 +197,140 @@ impl SharedDb {
     /// earlier snapshots are unaffected; new snapshots see every
     /// effect of `f` or none of it.
     ///
+    /// Every call bumps the generation, and since `f` may rewrite any
+    /// table, no ground stamp carries over: the next text query
+    /// compares its ground tables against its model again.
+    ///
     /// The closure runs under the write lock — keep it short and never
     /// call back into this [`SharedDb`] from inside it.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Catalog, &mut Storage) -> R) -> R {
+        self.write(None, |state| f(&mut state.catalog, &mut state.storage))
+            .0
+    }
+
+    /// [`SharedDb::mutate`] for a front door that rewrites only the
+    /// tables in `touched`: every other table's ground stamp carries
+    /// over to the new generation.
+    fn mutate_tables<R>(
+        &self,
+        touched: &[String],
+        f: impl FnOnce(&mut Catalog, &mut Storage) -> R,
+    ) -> R {
+        self.write(Some(touched), |state| {
+            f(&mut state.catalog, &mut state.storage)
+        })
+        .0
+    }
+
+    /// The one write path: run `f` on the current generation (which it
+    /// sees) under the write lock, publish the next generation, and
+    /// return it. Ground stamps of tables outside `touched` carry over;
+    /// `None` carries none.
+    fn write<R>(
+        &self,
+        touched: Option<&[String]>,
+        f: impl FnOnce(&mut DbState) -> R,
+    ) -> (R, Arc<DbState>) {
         let mut guard = self.state.write().expect("shared db lock never poisoned");
         // Clone-on-write: outstanding snapshot holders keep the old
         // generation; we mutate a fresh copy (or in place when nobody
         // else holds the Arc) and publish it on unlock.
         let state = Arc::make_mut(&mut guard);
-        f(&mut state.catalog, &mut state.storage)
+        let out = f(state);
+        state.generation += 1;
+        self.stamps_lock().carry(state.generation, touched);
+        (out, Arc::clone(&guard))
+    }
+
+    fn stamps_lock(&self) -> MutexGuard<'_, Stamps> {
+        self.stamps
+            .lock()
+            .expect("ground stamp lock never poisoned")
+    }
+
+    /// Make the stored table of every alias in `grounds` equal to its
+    /// spec materialized from `model`, and return the generation that
+    /// holds them.
+    ///
+    /// An alias stamped for `model` and the same spec at the current
+    /// generation is trusted without reading a row, so a warm text
+    /// query costs nothing here. Every other alias is materialized and
+    /// compared with what is stored; only the tables that differ are
+    /// loaded, so an untouched database keeps its epoch and the plan
+    /// cache stays warm. Then the aliases are stamped.
+    ///
+    /// # Errors
+    /// [`LangError`] when a spec does not fit `model` (prevented by
+    /// `translate_shape`, which resolved every spec against it).
+    pub(crate) fn sync_ground(
+        &self,
+        model: &Arc<EntityDb>,
+        grounds: &[(String, Ground)],
+    ) -> Result<Arc<DbState>, LangError> {
+        let state = self.snapshot();
+        let stale: Vec<&(String, Ground)> = {
+            let stamps = self.stamps_lock();
+            grounds
+                .iter()
+                .filter(|(alias, ground)| !stamps.holds(state.generation, model, alias, ground))
+                .collect()
+        };
+        if stale.is_empty() {
+            return Ok(state);
+        }
+        let mut differing = Vec::new();
+        for (alias, ground) in stale {
+            let rel = self.materialize(model, alias, ground)?;
+            if !stored_as(state.storage(), alias, &rel) {
+                differing.push((alias.clone(), rel));
+            }
+        }
+        if differing.is_empty() {
+            self.stamps_lock().record(state.generation, model, grounds);
+            return Ok(state);
+        }
+        // Load what differs — unless another writer got in since
+        // `state` was taken: then neither its stamps nor the
+        // comparisons above hold, and every alias is compared afresh.
+        let touched: Vec<String> = differing.iter().map(|(a, _)| a.clone()).collect();
+        let (loaded, next) = self.write(Some(&touched), |db| {
+            if db.generation != state.generation {
+                return false;
+            }
+            load_differing(db, differing);
+            true
+        });
+        let next = if loaded {
+            next
+        } else {
+            let all = grounds
+                .iter()
+                .map(|(alias, ground)| Ok((alias.clone(), self.materialize(model, alias, ground)?)))
+                .collect::<Result<Vec<_>, LangError>>()?;
+            let touched: Vec<String> = grounds.iter().map(|(a, _)| a.clone()).collect();
+            self.write(Some(&touched), |db| load_differing(db, all)).1
+        };
+        self.stamps_lock().record(next.generation, model, grounds);
+        Ok(next)
+    }
+
+    /// Materialize one ground relation, counting its rows.
+    fn materialize(
+        &self,
+        model: &EntityDb,
+        alias: &str,
+        ground: &Ground,
+    ) -> Result<Relation, LangError> {
+        let rel = ground.materialize(model, alias)?;
+        self.ground_rows
+            .fetch_add(rel.len() as u64, Ordering::Relaxed);
+        Ok(rel)
+    }
+
+    /// Ground rows materialized by text-query syncs so far.
+    #[cfg(test)]
+    pub(crate) fn ground_rows_materialized(&self) -> u64 {
+        self.ground_rows.load(Ordering::Relaxed)
     }
 
     /// A new session handle over this shared state (Paper policy,
@@ -119,7 +347,7 @@ impl SharedDb {
     /// in the catalog, bumping the epoch.
     pub fn insert_table(&self, name: impl Into<String>, rel: Relation) {
         let name = name.into();
-        self.mutate(|catalog, storage| {
+        self.mutate_tables(std::slice::from_ref(&name), |catalog, storage| {
             register_stats(catalog, &name, storage.insert(name.as_str(), rel));
         });
     }
@@ -180,7 +408,7 @@ impl SharedDb {
         edit: impl FnOnce(&mut Storage) -> Option<RowDelta>,
     ) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
-        let delta = self.mutate(|catalog, storage| {
+        let delta = self.mutate_tables(&[name.to_owned()], |catalog, storage| {
             let delta = edit(storage)?;
             if !delta.is_empty() {
                 let table = storage
@@ -214,7 +442,8 @@ impl SharedDb {
     /// to the catalog. Returns `false` (doing nothing) when the table
     /// or an attribute is unknown.
     pub fn create_index(&self, rel: &str, attrs: &[Attr]) -> bool {
-        self.mutate(|catalog, storage| {
+        // An index leaves every table's rows as they were.
+        self.mutate_tables(&[], |catalog, storage| {
             let built = storage.create_index(rel, attrs);
             if built {
                 catalog.add_index(rel, attrs);
@@ -227,7 +456,7 @@ impl SharedDb {
     /// the catalog epoch, so cached plans costed under the old
     /// statistics are invalidated automatically.
     pub fn set_distinct(&self, attr: &Attr, distinct: u64) {
-        self.mutate(|catalog, _| catalog.set_distinct(attr, distinct));
+        self.mutate_tables(&[], |catalog, _| catalog.set_distinct(attr, distinct));
     }
 }
 
