@@ -103,6 +103,29 @@ impl Bitmap {
         self.words.resize(self.len.div_ceil(64), 0);
     }
 
+    /// Drop the bits at `sorted` (ascending, distinct, in range),
+    /// sliding every later bit down to close the gaps. Bits before the
+    /// first dropped position are not touched.
+    pub fn remove_positions(&mut self, sorted: &[usize]) {
+        let Some(&first) = sorted.first() else {
+            return;
+        };
+        let mut doomed = sorted.iter().peekable();
+        let mut w = first;
+        for r in first..self.len {
+            if doomed.next_if_eq(&&r).is_some() {
+                continue;
+            }
+            let bit = self.get(r);
+            self.words[w / 64] &= !(1u64 << (w % 64));
+            self.words[w / 64] |= u64::from(bit) << (w % 64);
+            w += 1;
+        }
+        self.len = w;
+        self.words.truncate(w.div_ceil(64));
+        self.mask_tail();
+    }
+
     /// Set bit `i`.
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
@@ -252,12 +275,14 @@ impl Zone {
     }
 }
 
-/// The per-table string dictionary: distinct strings in
-/// first-appearance order, so a string column stores `u32` codes.
+/// The per-table string dictionary: every string the table has held,
+/// in first-appearance order, so a string column stores `u32` codes.
+/// Codes are append-stable: a new string gets the next code and no
+/// code ever moves, and a deleted row's strings stay interned.
 /// Equality on codes is equality on strings; order comparisons go
-/// through the sealed rank permutation (`rank[code]` = position of the
-/// code's string in sorted order), so `rank` comparisons agree with
-/// `String` order.
+/// through the rank permutation (`rank[code]` = position of the code's
+/// string in sorted order), recomputed whenever a string is added, so
+/// `rank` comparisons agree with `String` order.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Value>,
@@ -276,9 +301,9 @@ impl Dictionary {
         c
     }
 
-    /// Freeze the dictionary: compute the rank permutation used for
-    /// order comparisons on codes.
-    fn seal(&mut self) {
+    /// Compute the rank permutation used for order comparisons on
+    /// codes.
+    fn rank_all(&mut self) {
         let mut order: Vec<u32> = (0..self.values.len() as u32).collect();
         order.sort_by(|&a, &b| self.values[a as usize].cmp(&self.values[b as usize]));
         self.rank = vec![0; order.len()];
@@ -392,11 +417,96 @@ impl Column {
         &self.validity
     }
 
+    /// Recompute the zones from zone `first` onward over the stored
+    /// data, dropping any zone past the end.
+    fn rezone_from(&mut self, first: usize, rows: usize, dict: &Dictionary) {
+        self.zones.truncate(first);
+        let mut lo = first * ZONE_ROWS;
+        while lo < rows {
+            let hi = (lo + ZONE_ROWS).min(rows);
+            let zone = self.zone_over(lo, hi, dict);
+            self.zones.push(zone);
+            lo = hi;
+        }
+    }
+
+    /// Min/max over the non-null values of rows `lo..hi` plus their
+    /// null count, in total [`Value`] order (dictionary rank for codes).
+    fn zone_over(&self, lo: usize, hi: usize, dict: &Dictionary) -> Zone {
+        /// Min and max of `at(i)` over the valid rows `i` in `lo..hi`.
+        fn fold<T: Copy>(
+            valid: &Bitmap,
+            lo: usize,
+            hi: usize,
+            at: impl Fn(usize) -> T,
+            less: impl Fn(T, T) -> bool,
+        ) -> Option<(T, T)> {
+            let mut acc: Option<(T, T)> = None;
+            valid.for_each_one_in(lo, hi, |i| {
+                let x = at(i);
+                acc = Some(match acc {
+                    None => (x, x),
+                    Some((a, b)) => (
+                        if less(x, a) { x } else { a },
+                        if less(b, x) { x } else { b },
+                    ),
+                });
+            });
+            acc
+        }
+        let v = &self.validity;
+        let min_max = match &self.data {
+            ColData::Int(xs) => fold(v, lo, hi, |i| xs[i], |a, b| a < b)
+                .map(|(a, b)| (Value::Int(a), Value::Int(b))),
+            // `false < true`.
+            ColData::Bool(xs) => fold(v, lo, hi, |i| xs[i], |a, b| !a & b)
+                .map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
+            ColData::Str(xs) => fold(v, lo, hi, |i| xs[i], |a, b| dict.rank(a) < dict.rank(b))
+                .map(|(a, b)| (dict.value(a).clone(), dict.value(b).clone())),
+            ColData::Mixed(xs) => {
+                fold(v, lo, hi, |i| &xs[i], |a, b| a < b).map(|(a, b)| (a.clone(), b.clone()))
+            }
+        };
+        Zone {
+            min_max,
+            nulls: (hi - lo) - v.count_ones_range(lo, hi),
+        }
+    }
+
+    /// Drop the rows at `sorted` (ascending, distinct): compact the
+    /// typed vector and validity, fix the null count, and recompute the
+    /// zones from the first one that lost a row.
+    fn remove_rows(&mut self, sorted: &[usize], dict: &Dictionary) {
+        let removed_nulls = sorted.iter().filter(|&&r| !self.validity.get(r)).count();
+        fn compact<T>(xs: &mut Vec<T>, sorted: &[usize]) {
+            let mut doomed = sorted.iter().peekable();
+            let mut w = sorted[0];
+            for r in sorted[0]..xs.len() {
+                if doomed.next_if_eq(&&r).is_none() {
+                    xs.swap(w, r);
+                    w += 1;
+                }
+            }
+            xs.truncate(w);
+        }
+        match &mut self.data {
+            ColData::Int(xs) => compact(xs, sorted),
+            ColData::Bool(xs) => compact(xs, sorted),
+            ColData::Str(xs) => compact(xs, sorted),
+            ColData::Mixed(xs) => compact(xs, sorted),
+        }
+        self.validity.remove_positions(sorted);
+        self.null_count -= removed_nulls;
+        let rows = self.validity.len();
+        self.rezone_from(sorted[0] / ZONE_ROWS, rows, dict);
+    }
+
     /// Push the values of `rows` at column `c` onto this column's
     /// vectors, starting at row id `old_rows`. Values were already
-    /// validated against the layout by [`ColumnSet::append_rows`]. The
-    /// trailing partial zone extends in place — min/max only widen
-    /// under appends — and fresh zones open at `ZONE_ROWS` boundaries.
+    /// validated against the layout, and their strings interned, by
+    /// [`ColumnSet::append_rows`]. The trailing partial zone extends in
+    /// place — min/max only widen under appends — and fresh zones open
+    /// at `ZONE_ROWS` boundaries.
     fn append(
         &mut self,
         rows: &[crate::tuple::Tuple],
@@ -417,7 +527,7 @@ impl Column {
                 ColData::Int(xs) => xs.push(if let Value::Int(x) = v { *x } else { 0 }),
                 ColData::Bool(xs) => xs.push(if let Value::Bool(b) = v { *b } else { false }),
                 ColData::Str(xs) => xs.push(match v {
-                    Value::Str(s) => dict.code_of(s).expect("validated against dictionary"),
+                    Value::Str(s) => dict.code_of(s).expect("interned by append_rows"),
                     _ => 0,
                 }),
                 ColData::Mixed(xs) => xs.push(v.clone()),
@@ -442,6 +552,20 @@ impl Column {
             }
         }
     }
+}
+
+/// A non-null cell as a small `Copy` key: integers and booleans by
+/// value, strings by their [`Dictionary`] code. Two cells of one
+/// [`ColumnSet`] have equal keys exactly when their values are equal,
+/// so keys can count value multiplicities without copying a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CellKey {
+    /// A `Value::Int`.
+    Int(i64),
+    /// A `Value::Bool`.
+    Bool(bool),
+    /// A `Value::Str`, by dictionary code.
+    Str(u32),
 }
 
 /// A vectorized three-valued selection: bit `i` of `trues` is set
@@ -550,7 +674,10 @@ impl ColumnSet {
         for c in 0..width {
             cols.push(ColumnSet::build_column(rel, c, &mut dict));
         }
-        dict.seal();
+        dict.rank_all();
+        for col in &mut cols {
+            col.rezone_from(0, n, &dict);
+        }
         ColumnSet {
             rows: n,
             dict,
@@ -630,43 +757,21 @@ impl ColumnSet {
                 let mut xs = Vec::with_capacity(n);
                 for (i, t) in rel.rows().iter().enumerate() {
                     let v = t.get(c);
-                    if v.is_null() {
-                        null_count += 1;
-                    } else {
-                        validity.set(i);
+                    match v {
+                        Value::Null => null_count += 1,
+                        // Interned too, so every stored string has a
+                        // code (see `ColumnSet::cell_key`).
+                        Value::Str(s) => {
+                            dict.intern(s);
+                            validity.set(i);
+                        }
+                        _ => validity.set(i),
                     }
                     xs.push(v.clone());
                 }
                 ColData::Mixed(xs)
             }
         };
-
-        // Zone metadata pass: min/max over non-null values plus a null
-        // count per ZONE_ROWS chunk.
-        let mut zones = Vec::with_capacity(n.div_ceil(ZONE_ROWS));
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + ZONE_ROWS).min(n);
-            let mut min_max: Option<(Value, Value)> = None;
-            let mut nulls = 0usize;
-            for t in &rel.rows()[lo..hi] {
-                let v = t.get(c);
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
-                }
-                min_max = Some(match min_max {
-                    None => (v.clone(), v.clone()),
-                    Some((zmin, zmax)) => {
-                        let zmin = if *v < zmin { v.clone() } else { zmin };
-                        let zmax = if *v > zmax { v.clone() } else { zmax };
-                        (zmin, zmax)
-                    }
-                });
-            }
-            zones.push(Zone { min_max, nulls });
-            lo = hi;
-        }
 
         // Exact distinct count with the catalog's convention: null, if
         // present, counts as one value.
@@ -682,48 +787,106 @@ impl ColumnSet {
             validity,
             null_count,
             distinct,
-            zones,
+            zones: Vec::with_capacity(n.div_ceil(ZONE_ROWS)),
         }
     }
 
     /// Append pre-deduplicated rows in place, extending every column's
     /// typed vector, validity bitmap, null count, and zone metadata —
     /// the O(|delta|) layout-maintenance path behind base-table
-    /// appends. `distinct` supplies each column's new exact distinct
-    /// count (the caller tracks the value sets; this structure only
-    /// stores the result, under the same null-counts-as-one convention
-    /// as [`ColumnSet::build`]).
+    /// appends. Strings the dictionary has not seen are interned and
+    /// only the rank permutation is recomputed. Distinct counts are
+    /// left as they were: the caller, which tracks value
+    /// multiplicities, stores the new ones with
+    /// [`ColumnSet::set_distinct`].
     ///
-    /// Returns `false` without modifying anything when some value
-    /// cannot join its column's existing layout — a new type in a
-    /// typed column, or a string absent from the sealed dictionary —
+    /// Returns `false` without modifying anything when a value's type
+    /// cannot join a typed column (say, a string in an `Int` column),
     /// in which case the caller rebuilds with [`ColumnSet::build`].
-    pub fn append_rows(&mut self, rows: &[crate::tuple::Tuple], distinct: &[u64]) -> bool {
-        debug_assert_eq!(distinct.len(), self.cols.len());
+    pub fn append_rows(&mut self, rows: &[crate::tuple::Tuple]) -> bool {
         // Validation pass first: nothing mutates unless every value of
         // every row fits its column's layout.
         for (c, col) in self.cols.iter().enumerate() {
             for t in rows {
-                let fits = match (t.get(c), &col.data) {
-                    (Value::Null, _) => true,
-                    (Value::Int(_), ColData::Int(_)) => true,
-                    (Value::Bool(_), ColData::Bool(_)) => true,
-                    (Value::Str(s), ColData::Str(_)) => self.dict.code_of(s).is_some(),
-                    (_, ColData::Mixed(_)) => true,
-                    _ => false,
-                };
+                let fits = matches!(
+                    (t.get(c), &col.data),
+                    (Value::Null, _)
+                        | (Value::Int(_), ColData::Int(_))
+                        | (Value::Bool(_), ColData::Bool(_))
+                        | (Value::Str(_), ColData::Str(_))
+                        | (_, ColData::Mixed(_))
+                );
                 if !fits {
                     return false;
                 }
             }
         }
+        let known = self.dict.len();
+        for t in rows {
+            for v in t.values() {
+                if let Value::Str(s) = v {
+                    self.dict.intern(s);
+                }
+            }
+        }
+        if self.dict.len() > known {
+            self.dict.rank_all();
+        }
         let old_rows = self.rows;
         for (c, col) in self.cols.iter_mut().enumerate() {
             col.append(rows, c, old_rows, &self.dict);
-            col.distinct = distinct[c];
         }
         self.rows += rows.len();
         true
+    }
+
+    /// Remove the rows at `sorted_positions` (ascending, distinct, in
+    /// range) in place; survivors keep their order. Every column's
+    /// typed vector and validity bitmap are compacted, null counts
+    /// fixed, and zones recomputed from the first zone that lost a row.
+    /// `distinct` supplies each column's new exact distinct count (the
+    /// caller tracks value multiplicities). The dictionary keeps the
+    /// strings of removed rows.
+    pub fn remove_rows(&mut self, sorted_positions: &[usize], distinct: &[u64]) {
+        debug_assert!(sorted_positions.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(sorted_positions.last().is_none_or(|&r| r < self.rows));
+        if sorted_positions.is_empty() {
+            return;
+        }
+        for col in &mut self.cols {
+            col.remove_rows(sorted_positions, &self.dict);
+        }
+        self.rows -= sorted_positions.len();
+        self.set_distinct(distinct);
+    }
+
+    /// Store each column's exact distinct count, under the
+    /// null-counts-as-one convention of [`ColumnSet::build`].
+    pub fn set_distinct(&mut self, distinct: &[u64]) {
+        debug_assert_eq!(distinct.len(), self.cols.len());
+        for (col, &d) in self.cols.iter_mut().zip(distinct) {
+            col.distinct = d;
+        }
+    }
+
+    /// The cell at `(row, col)` as a [`CellKey`], or `None` when null.
+    #[must_use]
+    pub fn cell_key(&self, row: usize, col: usize) -> Option<CellKey> {
+        let c = &self.cols[col];
+        if !c.validity.get(row) {
+            return None;
+        }
+        Some(match &c.data {
+            ColData::Int(xs) => CellKey::Int(xs[row]),
+            ColData::Bool(xs) => CellKey::Bool(xs[row]),
+            ColData::Str(xs) => CellKey::Str(xs[row]),
+            ColData::Mixed(xs) => match &xs[row] {
+                Value::Int(v) => CellKey::Int(*v),
+                Value::Bool(v) => CellKey::Bool(*v),
+                Value::Str(s) => CellKey::Str(self.dict.code_of(s).expect("every string interned")),
+                Value::Null => unreachable!("validity bit set on a null slot"),
+            },
+        })
     }
 
     /// Number of rows.
@@ -1211,9 +1374,10 @@ mod tests {
             })
             .collect();
         assert!(
-            cs.append_rows(&suffix, &distinct),
+            cs.append_rows(&suffix),
             "suffix values all fit the prefix layout"
         );
+        cs.set_distinct(&distinct);
         let rebuilt = ColumnSet::build(&full);
         assert_eq!(cs.rows(), rebuilt.rows());
         for c in 0..cs.width() {
@@ -1243,19 +1407,122 @@ mod tests {
         let mut cs = ColumnSet::build(&rel);
         // A new type in a typed column is refused whole.
         let bad = Tuple::new(vec![Value::Bool(true), Value::Int(1)]);
-        assert!(!cs.append_rows(&[bad], &[3, 3]));
+        assert!(!cs.append_rows(&[bad]));
         assert_eq!(cs.rows(), 2);
         assert_eq!(cs.column(0).distinct(), 2);
-        // A string the sealed dictionary has never seen is refused;
-        // nulls always fit.
+        // Nulls always fit.
         let strs = Relation::from_values("S", &["s"], vec![vec![Value::str("a")]]);
         let mut cs = ColumnSet::build(&strs);
-        assert!(!cs.append_rows(&[Tuple::new(vec![Value::str("b")])], &[2]));
-        assert_eq!(cs.rows(), 1);
-        assert!(cs.append_rows(&[Tuple::new(vec![Value::Null])], &[2]));
+        assert!(cs.append_rows(&[Tuple::new(vec![Value::Null])]));
         assert_eq!(cs.rows(), 2);
         assert_eq!(cs.column(0).null_count(), 1);
         assert_eq!(cs.value_at(1, 0), Value::Null);
+    }
+
+    /// Every observable of `cs` equals [`ColumnSet::build`] over
+    /// `rel`: cells, null and distinct counts, zones, and the predicate
+    /// masks (with their zone-skip counts) of `preds`.
+    fn assert_same_as_build(cs: &ColumnSet, rel: &Relation, preds: &[BoundPred]) {
+        let built = ColumnSet::build(rel);
+        assert_eq!(cs.rows(), built.rows());
+        for c in 0..cs.width() {
+            let (a, b) = (cs.column(c), built.column(c));
+            assert_eq!(a.null_count(), b.null_count(), "col {c}");
+            assert_eq!(a.distinct(), b.distinct(), "col {c}");
+            assert_eq!(a.min_max(), b.min_max(), "col {c}");
+            assert_eq!(a.zones().len(), b.zones().len(), "col {c}");
+            for (z, (za, zb)) in a.zones().iter().zip(b.zones()).enumerate() {
+                assert_eq!(za.min_max(), zb.min_max(), "col {c} zone {z}");
+                assert_eq!(za.nulls(), zb.nulls(), "col {c} zone {z}");
+            }
+            for r in 0..cs.rows() {
+                assert_eq!(cs.value_at(r, c), built.value_at(r, c), "cell {r},{c}");
+            }
+        }
+        for p in preds {
+            let (mut ka, mut kb) = (0, 0);
+            let (ma, mb) = (cs.eval_pred(p, &mut ka), built.eval_pred(p, &mut kb));
+            assert_eq!(ma.trues(), mb.trues(), "{p:?}");
+            assert_eq!(ma.falses(), mb.falses(), "{p:?}");
+            assert_eq!(ka, kb, "{p:?} zones skipped");
+            assert_mask_matches(rel, cs, p);
+        }
+    }
+
+    /// Exact distinct counts of `rel`, null counting as one value.
+    fn distinct_counts(rel: &Relation) -> Vec<u64> {
+        (0..rel.schema().len())
+            .map(|c| {
+                rel.rows()
+                    .iter()
+                    .map(|t| t.get(c))
+                    .collect::<HashSet<_>>()
+                    .len() as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unseen_string_append_keeps_str_layout_and_matches_build() {
+        let rel = Relation::from_values(
+            "R",
+            &["x", "y"],
+            vec![
+                vec![Value::str("b"), Value::str("d")],
+                vec![Value::str("d"), Value::Null],
+                vec![Value::str("f"), Value::str("b")],
+            ],
+        );
+        let mut cs = ColumnSet::build(&rel);
+        // "c", "a" and "e" are new and fall between and before the
+        // interned strings, so their order comes only from a new rank.
+        let delta = vec![
+            Tuple::new(vec![Value::str("c"), Value::str("a")]),
+            Tuple::new(vec![Value::str("a"), Value::str("e")]),
+            Tuple::new(vec![Value::Null, Value::str("c")]),
+        ];
+        assert!(cs.append_rows(&delta), "an unseen string fits a Str column");
+        let mut rows = rel.rows().to_vec();
+        rows.extend(delta);
+        let full = Relation::from_distinct_rows(rel.schema().clone(), rows);
+        cs.set_distinct(&distinct_counts(&full));
+        for c in 0..cs.width() {
+            assert!(
+                matches!(cs.cols[c].data, ColData::Str(_)),
+                "col {c} stays Str"
+            );
+        }
+        use BoundPred as P;
+        use BoundScalar as S;
+        let preds = [
+            P::Cmp(CmpOp::Lt, S::Col(0), S::Col(1)),
+            P::Cmp(CmpOp::Gt, S::Col(0), S::Col(1)),
+            P::Cmp(CmpOp::Eq, S::Col(0), S::Col(1)),
+            P::Cmp(CmpOp::Ge, S::Col(1), S::Lit(Value::str("c"))),
+            P::Cmp(CmpOp::Lt, S::Col(0), S::Lit(Value::str("b"))),
+        ];
+        assert_same_as_build(&cs, &full, &preds);
+    }
+
+    #[test]
+    fn remove_rows_matches_full_rebuild() {
+        let full = mixed_relation(3100, 5);
+        // Deletions in the first zone, across a zone boundary, and at
+        // the very end, so every later zone shifts.
+        let n = full.len();
+        assert!(n > 2100, "three zones");
+        let doomed = [0, 3, 1023, 1024, 1500, 2047, n - 50, n - 1];
+        let mut cs = ColumnSet::build(&full);
+        let kept: Vec<Tuple> = full
+            .rows()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !doomed.contains(i))
+            .map(|(_, t)| t.clone())
+            .collect();
+        let rest = Relation::from_distinct_rows(full.schema().clone(), kept);
+        cs.remove_rows(&doomed, &distinct_counts(&rest));
+        assert_same_as_build(&cs, &rest, &pred_suite());
     }
 
     #[test]

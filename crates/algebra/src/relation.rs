@@ -130,6 +130,27 @@ impl Relation {
         self.rows.extend(rows);
     }
 
+    /// Remove the rows at `sorted_positions` (ascending, distinct, in
+    /// range) by moving them out, returning them in stored order. The
+    /// survivors keep their order; rows before the first position are
+    /// not touched.
+    pub fn remove_rows(&mut self, sorted_positions: &[usize]) -> Vec<Tuple> {
+        debug_assert!(sorted_positions.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(sorted_positions.last().is_none_or(|&r| r < self.rows.len()));
+        let Some(&first) = sorted_positions.first() else {
+            return Vec::new();
+        };
+        let mut doomed = sorted_positions.iter().peekable();
+        let mut r = first;
+        self.rows
+            .extract_if(first.., |_| {
+                let hit = doomed.next_if_eq(&&r).is_some();
+                r += 1;
+                hit
+            })
+            .collect()
+    }
+
     /// Insert a tuple (set semantics: duplicates are dropped).
     ///
     /// # Errors
@@ -325,6 +346,20 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r.rows()[2], Tuple::new(vec![Value::Int(3)]));
         assert_eq!(r.rows()[3], Tuple::new(vec![Value::Int(4)]));
+    }
+
+    #[test]
+    fn remove_rows_moves_out_in_stored_order() {
+        let mut r = Relation::from_ints("R", &["a"], &[&[1], &[2], &[3], &[4], &[5]]);
+        let removed = r.remove_rows(&[1, 3, 4]);
+        let ints = |ts: &[Tuple]| -> Vec<Value> { ts.iter().map(|t| t.get(0).clone()).collect() };
+        assert_eq!(
+            ints(&removed),
+            [Value::Int(2), Value::Int(4), Value::Int(5)]
+        );
+        assert_eq!(ints(r.rows()), [Value::Int(1), Value::Int(3)]);
+        assert!(r.remove_rows(&[]).is_empty());
+        assert_eq!(r.len(), 2);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! physical plan from scratch plus canonicalizing the result — exactly
 //! what a refresh-on-poll view would pay to serve the same snapshot.
 //! One warm-up append (untimed, applied to both sides) pays the
-//! one-time build of each table's append-acceleration state so the
-//! loop measures steady-state maintenance.
+//! one-time build of each table's edit index so the loop measures
+//! steady-state maintenance.
 //!
 //! Asserted, not just reported: every maintained poll is bit-identical
 //! to the cold re-execution; the whole append loop never forces a
@@ -30,6 +30,13 @@
 //! rows ingested by the delta pipeline are O(appends), nowhere near
 //! O(base); and the summed incremental wall clock beats the summed
 //! baseline wall clock by ≥ 10×.
+//!
+//! Recorded alongside, with no gate: `secs_delete`, the incremental
+//! side deleting the appended rows again one at a time (delete, delta
+//! and poll), after which the view must still equal a cold
+//! re-execution; and `secs_append_pinned`, the same appends made while
+//! a snapshot of the database is held, so each one copies the fact
+//! table it edits.
 
 use fro::prelude::*;
 use fro_algebra::{Tuple, Value};
@@ -94,8 +101,8 @@ fn main() {
     }
 
     // Untimed warm-up append on both sides: pays the one-time O(base)
-    // build of the fact table's append-acceleration state, so the loop
-    // below measures steady-state O(delta) maintenance.
+    // build of the fact table's edit index, so the loop below measures
+    // steady-state O(delta) maintenance.
     let warmup = fact_row(APPENDS, params.match_keys);
     assert!(view_sess.append_rows("F", vec![warmup.clone()]));
     assert!(plain_sess.append_rows("F", vec![warmup]));
@@ -150,11 +157,52 @@ fn main() {
          that is O(base), not O(delta)"
     );
 
+    // Delete the appended rows again: incremental side timed, baseline
+    // side untimed, then one cold re-execution to compare against.
+    let mut secs_delete = 0.0f64;
+    for i in 0..APPENDS {
+        let row = fact_row(i, params.match_keys);
+        let t = Instant::now();
+        assert!(view_sess.delete_rows("F", std::slice::from_ref(&row)));
+        view_sess.poll_standing(reg.id).unwrap();
+        secs_delete += t.elapsed().as_secs_f64();
+        assert!(plain_sess.delete_rows("F", &[row]));
+    }
+    let cold_after = |db: &SharedDb| {
+        let mut st = ExecStats::new();
+        canonical(&execute_with(&plan, db.snapshot().storage(), &mut st, &cfg).expect("plan runs"))
+    };
+    let (view, _) = view_sess.poll_standing(reg.id).unwrap();
+    assert_eq!(
+        view,
+        cold_after(&plain_db),
+        "maintained view diverged after the deletes"
+    );
+
+    // The same appends, each under a freshly pinned snapshot.
+    let mut secs_append_pinned = 0.0f64;
+    for i in 0..APPENDS {
+        let row = fact_row(i, params.match_keys);
+        let pinned = view_db.snapshot();
+        let t = Instant::now();
+        assert!(view_sess.append_rows("F", vec![row.clone()]));
+        secs_append_pinned += t.elapsed().as_secs_f64();
+        drop(pinned);
+        assert!(plain_sess.append_rows("F", vec![row]));
+    }
+    let (view, _) = view_sess.poll_standing(reg.id).unwrap();
+    assert_eq!(
+        view,
+        cold_after(&plain_db),
+        "maintained view diverged after pinned appends"
+    );
+
     let speedup = secs_reexec / secs_incremental;
     println!(
         "{APPENDS} appends: incremental={secs_incremental:.4}s \
          reexec={secs_reexec:.4}s speedup={speedup:.1}x \
-         (delta_rows_in={ingested}, refreshes={refreshes})"
+         (delta_rows_in={ingested}, refreshes={refreshes}); \
+         {APPENDS} deletes {secs_delete:.4}s, pinned appends {secs_append_pinned:.4}s"
     );
     assert!(
         speedup >= 10.0,
@@ -171,6 +219,8 @@ fn main() {
     let _ = writeln!(json, "  \"secs_incremental\": {secs_incremental:.6},");
     let _ = writeln!(json, "  \"secs_reexec\": {secs_reexec:.6},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
+    let _ = writeln!(json, "  \"secs_delete\": {secs_delete:.6},");
+    let _ = writeln!(json, "  \"secs_append_pinned\": {secs_append_pinned:.6},");
     let _ = writeln!(json, "  \"delta_rows_in\": {ingested},");
     let _ = writeln!(json, "  \"views_refreshed\": {refreshes}");
     json.push_str("}\n");

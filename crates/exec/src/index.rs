@@ -47,6 +47,33 @@ impl HashIndex {
         }
     }
 
+    /// Forget the rows at `sorted_positions` (ascending, distinct) of
+    /// the indexed relation and renumber the survivors to the ids they
+    /// have once those rows are removed in place. One pass over the
+    /// stored ids and no key is rehashed; ids keep ascending within
+    /// each key, and keys left with no row are dropped, exactly as
+    /// [`HashIndex::build`] over the survivors would have them.
+    pub fn remove_rows(&mut self, sorted_positions: &[usize]) {
+        let Some(&first) = sorted_positions.first() else {
+            return;
+        };
+        self.map.retain(|_, ids| {
+            ids.retain_mut(|id| {
+                if *id < first {
+                    return true;
+                }
+                match sorted_positions.binary_search(id) {
+                    Ok(_) => false,
+                    Err(below) => {
+                        *id -= below;
+                        true
+                    }
+                }
+            });
+            !ids.is_empty()
+        });
+    }
+
     /// The indexed column positions.
     #[must_use]
     pub fn key_cols(&self) -> &[usize] {
@@ -99,6 +126,22 @@ mod tests {
         let idx = HashIndex::build(&rel(), vec![0]);
         assert!(idx.lookup(&[Value::Null]).is_empty());
         assert_eq!(idx.distinct_keys(), 2);
+    }
+
+    #[test]
+    fn remove_rows_renumbers_like_a_rebuild() {
+        let mut r = rel();
+        let mut idx = HashIndex::build(&r, vec![0]);
+        r.remove_rows(&[0, 1]);
+        idx.remove_rows(&[0, 1]);
+        let rebuilt = HashIndex::build(&r, vec![0]);
+        assert_eq!(idx.lookup(&[Value::Int(1)]), &[0]);
+        assert_eq!(
+            idx.lookup(&[Value::Int(1)]),
+            rebuilt.lookup(&[Value::Int(1)])
+        );
+        assert!(idx.lookup(&[Value::Int(2)]).is_empty());
+        assert_eq!(idx.distinct_keys(), rebuilt.distinct_keys());
     }
 
     #[test]

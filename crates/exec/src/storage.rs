@@ -19,55 +19,191 @@
 //! Storage carries its own epoch counter, bumped by every data or
 //! index mutation, so a session can notice that its derived catalog
 //! (and therefore the catalog's plan cache) is out of date.
+//!
+//! Each slot holds its table behind an [`Arc`], and every write goes
+//! through [`Arc::make_mut`]: cloning a `Storage` copies pointers, and
+//! a later edit copies only the table it edits, and only while a clone
+//! still shares it. A table nobody else holds is edited in place.
 
 use crate::engine::ExecError;
 use crate::index::HashIndex;
-use fro_algebra::{Attr, ColumnSet, Database, Interner, RelId, Relation, Tuple, Value};
-use std::collections::HashSet;
+use fro_algebra::{Attr, CellKey, ColumnSet, Database, Interner, RelId, Relation, Tuple};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
-/// A stored base table: the relation, its columnar mirror, and any
-/// indexes built on it.
+/// A stored base table: the relation, its columnar mirror, any
+/// indexes built on it, and, once it has been edited, its edit index.
 ///
 /// The [`ColumnSet`] is built at registration and kept alongside the
 /// row-major relation (a hybrid layout): engines read the typed column
 /// vectors for predicate scans, hash builds, and statistics, while
 /// output assembly still clones `Tuple`s from the row store — which is
 /// what keeps columnar execution bit-identical to the row-major paths.
-/// Appends maintain the mirror and any indexes in place (O(|delta|))
-/// instead of rebuilding them.
+///
+/// Appends and deletes edit every part in place, in O(|delta|) plus at
+/// most one pass of plain moves over the table; neither rebuilds it.
+/// After any edit, every observable (rows and their order, distinct
+/// and null counts, zone min/max, index lookups, predicate masks)
+/// equals that of [`Table::new`] over the same rows with the same
+/// indexes. Only internals may differ: the dictionary keeps strings
+/// whose rows were deleted, and a column may keep a wider layout.
 #[derive(Debug, Clone)]
 pub struct Table {
     rel: Relation,
     columns: ColumnSet,
     indexes: Vec<HashIndex>,
-    /// Append-acceleration state: an exact row set (novelty checks
-    /// under set semantics) plus one value set per column (exact
-    /// distinct counts), built O(base) on the first append and
-    /// maintained O(|delta|) afterwards. `None` until a table sees its
-    /// first append; dropped whenever the table is replaced wholesale.
-    append_state: Option<AppendState>,
+    /// Built in O(rows) on the table's first edit (or
+    /// [`Table::contains`] probe), then kept up to date by every
+    /// append and delete.
+    edit: OnceLock<EditIndex>,
 }
 
+/// What row edits need to stay O(|delta|), holding no copy of a row
+/// or of a value: row hash → row id, for novelty checks and for
+/// finding doomed rows, and per column the multiplicity of every value
+/// (the ℕ-annotated column projection), whose support size is the
+/// exact distinct count. An edit moves a count by one; a value counts
+/// toward `distinct` while its count is above 0.
 #[derive(Debug, Clone)]
-struct AppendState {
-    row_set: HashSet<Tuple>,
-    value_sets: Vec<HashSet<Value>>,
+struct EditIndex {
+    /// Seeds the row hash, afresh for each index, so rows cannot be
+    /// chosen to collide.
+    hasher: RandomState,
+    /// Row hash → the id of a stored row with that hash. Lookups
+    /// compare the row in the row store, so a hash never stands in for
+    /// a row.
+    ids: HashMap<u64, usize>,
+    /// `(hash, id)` of further stored rows whose hash is already in
+    /// `ids`: the side list for hash collisions, almost always empty.
+    collided: Vec<(u64, usize)>,
+    /// Per column: stored rows holding each non-null value.
+    counts: Vec<HashMap<CellKey, usize>>,
+    /// Per column: stored rows holding null.
+    nulls: Vec<usize>,
 }
 
-impl AppendState {
-    fn over(rel: &Relation) -> AppendState {
-        let mut row_set = HashSet::with_capacity(rel.len());
-        let mut value_sets = vec![HashSet::new(); rel.schema().len()];
-        for t in rel.rows() {
-            for (c, set) in value_sets.iter_mut().enumerate() {
-                set.insert(t.get(c).clone());
+#[cfg(test)]
+thread_local! {
+    /// Edit indexes built on this thread (each test runs on its own).
+    static EDIT_INDEX_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl EditIndex {
+    fn build(rel: &Relation, columns: &ColumnSet) -> EditIndex {
+        #[cfg(test)]
+        EDIT_INDEX_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut ix = EditIndex {
+            hasher: RandomState::new(),
+            ids: HashMap::with_capacity(rel.len()),
+            collided: Vec::new(),
+            counts: Vec::new(),
+            nulls: Vec::new(),
+        };
+        for (id, t) in rel.rows().iter().enumerate() {
+            ix.insert(ix.row_hash(t), id);
+        }
+        ix.recount(columns);
+        ix
+    }
+
+    /// Recount every value from scratch (after the mirror was rebuilt,
+    /// which renumbers dictionary codes).
+    fn recount(&mut self, columns: &ColumnSet) {
+        self.counts = vec![HashMap::new(); columns.width()];
+        self.nulls = vec![0; columns.width()];
+        self.count(columns, 0..columns.rows(), true);
+    }
+
+    /// Add (`up`) or subtract the values of the stored rows `rows`.
+    fn count(&mut self, columns: &ColumnSet, rows: impl Iterator<Item = usize> + Clone, up: bool) {
+        for (c, (counts, nulls)) in self.counts.iter_mut().zip(&mut self.nulls).enumerate() {
+            for r in rows.clone() {
+                match (columns.cell_key(r, c), up) {
+                    (None, true) => *nulls += 1,
+                    (None, false) => *nulls -= 1,
+                    (Some(k), true) => *counts.entry(k).or_default() += 1,
+                    (Some(k), false) => {
+                        let n = counts.get_mut(&k).expect("a stored value is counted");
+                        *n -= 1;
+                        if *n == 0 {
+                            counts.remove(&k);
+                        }
+                    }
+                }
             }
-            row_set.insert(t.clone());
         }
-        AppendState {
-            row_set,
-            value_sets,
+    }
+
+    /// The hash this index keys `t` by.
+    fn row_hash(&self, t: &Tuple) -> u64 {
+        self.hasher.hash_one(t)
+    }
+
+    /// Each column's exact distinct count, null counting as one value.
+    fn distinct(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .zip(&self.nulls)
+            .map(|(counts, &nulls)| counts.len() as u64 + u64::from(nulls > 0))
+            .collect()
+    }
+
+    /// The id of the stored row equal to `t`, whose hash is `h`;
+    /// `row(id)` reads the row store.
+    fn find<'r>(&self, h: u64, t: &Tuple, row: impl Fn(usize) -> &'r Tuple) -> Option<usize> {
+        let &id = self.ids.get(&h)?;
+        if row(id) == t {
+            return Some(id);
         }
+        self.collided
+            .iter()
+            .find(|&&(ch, cid)| ch == h && row(cid) == t)
+            .map(|&(_, cid)| cid)
+    }
+
+    /// Index a stored row not indexed yet.
+    fn insert(&mut self, h: u64, id: usize) {
+        if let Some(&first) = self.ids.get(&h) {
+            debug_assert_ne!(first, id);
+            self.collided.push((h, id));
+        } else {
+            self.ids.insert(h, id);
+        }
+    }
+
+    /// Forget the stored rows `doomed` (`(hash, id)`, ids ascending)
+    /// and renumber the survivors to their ids once those rows are
+    /// removed in place: one pass over the ids, no row rehashed.
+    fn remove(&mut self, doomed: &[(u64, usize)]) {
+        for &(h, id) in doomed {
+            if self.ids.get(&h) == Some(&id) {
+                match self.collided.iter().position(|&(ch, _)| ch == h) {
+                    Some(k) => {
+                        let (_, next) = self.collided.swap_remove(k);
+                        self.ids.insert(h, next);
+                    }
+                    None => {
+                        self.ids.remove(&h);
+                    }
+                }
+            } else {
+                let k = self
+                    .collided
+                    .iter()
+                    .position(|&p| p == (h, id))
+                    .expect("a stored row is indexed");
+                self.collided.swap_remove(k);
+            }
+        }
+        let first = doomed[0].1;
+        let renumber = |id: &mut usize| {
+            if *id > first {
+                *id -= doomed.partition_point(|&(_, d)| d < *id);
+            }
+        };
+        self.ids.values_mut().for_each(renumber);
+        self.collided.iter_mut().for_each(|(_, id)| renumber(id));
     }
 }
 
@@ -80,45 +216,66 @@ impl Table {
             rel,
             columns,
             indexes: Vec::new(),
-            append_state: None,
+            edit: OnceLock::new(),
         }
+    }
+
+    fn edit_index(&self) -> &EditIndex {
+        self.edit
+            .get_or_init(|| EditIndex::build(&self.rel, &self.columns))
+    }
+
+    /// Whether `t` is a stored row. O(1), after one O(rows) build of
+    /// the edit index on the table's first edit or probe.
+    #[must_use]
+    pub fn contains(&self, t: &Tuple) -> bool {
+        let rows = self.rel.rows();
+        let edit = self.edit_index();
+        t.arity() == self.rel.schema().len()
+            && edit.find(edit.row_hash(t), t, |id| &rows[id]).is_some()
     }
 
     /// Append `rows` under set semantics, returning the novel suffix
     /// actually stored (possibly empty if every row was already
-    /// present) or `None` on an arity mismatch. Maintains the row
-    /// store, the columnar mirror (typed vectors, validity, zones,
-    /// exact distinct counts), and every index in place — O(|delta|)
-    /// once the append state is warm. The columnar mirror falls back
-    /// to a full rebuild only when a value cannot join its column's
-    /// existing layout (new type, or a string the sealed dictionary
-    /// has never seen).
+    /// present) or `None` on an arity mismatch. The row store, the
+    /// columnar mirror (typed vectors, validity, zones, dictionary,
+    /// exact distinct counts), every index and the edit index all grow
+    /// in place, O(|delta|). The mirror is rebuilt only when a value's
+    /// type cannot join its typed column.
     fn append_novel(&mut self, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
         let arity = self.rel.schema().len();
         if rows.iter().any(|t| t.arity() != arity) {
             return None;
         }
-        let state = self
-            .append_state
-            .get_or_insert_with(|| AppendState::over(&self.rel));
-        let mut novel = Vec::new();
+        self.edit_index();
+        let edit = self.edit.get_mut().expect("built above");
+        let stored = self.rel.rows();
+        let old_len = stored.len();
+        let mut novel: Vec<Tuple> = Vec::new();
         for t in rows {
-            if state.row_set.insert(t.clone()) {
-                for (c, set) in state.value_sets.iter_mut().enumerate() {
-                    set.insert(t.get(c).clone());
-                }
+            let h = edit.row_hash(&t);
+            let row = |id: usize| match id.checked_sub(old_len) {
+                None => &stored[id],
+                Some(i) => &novel[i],
+            };
+            if edit.find(h, &t, row).is_none() {
+                edit.insert(h, old_len + novel.len());
                 novel.push(t);
             }
         }
         if novel.is_empty() {
             return Some(novel);
         }
-        let distinct: Vec<u64> = state.value_sets.iter().map(|s| s.len() as u64).collect();
-        let old_len = self.rel.len();
         self.rel.extend_distinct(novel.clone());
-        if !self.columns.append_rows(&novel, &distinct) {
+        if self.columns.append_rows(&novel) {
+            edit.count(&self.columns, old_len..self.rel.len(), true);
+        } else {
+            // A value's type does not fit its typed column; the rebuilt
+            // mirror numbers its dictionary afresh.
             self.columns = ColumnSet::build(&self.rel);
+            edit.recount(&self.columns);
         }
+        self.columns.set_distinct(&edit.distinct());
         for ix in &mut self.indexes {
             ix.insert_rows(&self.rel, old_len);
         }
@@ -126,31 +283,34 @@ impl Table {
     }
 
     /// Remove every stored row that appears in `rows`, returning the
-    /// removed rows (possibly none). The survivors keep their stored
-    /// order; the columnar mirror and every index are rebuilt over them
-    /// and the append state is dropped, as for a wholesale replacement.
+    /// removed rows (possibly none) in stored order. The doomed rows
+    /// are found through the edit index in O(|delta|); the row store,
+    /// the columnar mirror, every index and the edit index then drop
+    /// them in place, the survivors keeping their order.
     fn remove_rows(&mut self, rows: &[Tuple]) -> Vec<Tuple> {
-        let doomed: HashSet<&Tuple> = rows.iter().collect();
-        let (removed, kept): (Vec<Tuple>, Vec<Tuple>) = self
-            .rel
-            .rows()
+        self.edit_index();
+        let edit = self.edit.get_mut().expect("built above");
+        let stored = self.rel.rows();
+        let mut doomed: Vec<(u64, usize)> = rows
             .iter()
-            .cloned()
-            .partition(|t| doomed.contains(t));
-        if removed.is_empty() {
-            return removed;
-        }
-        let rel = Relation::from_distinct_rows(self.rel.schema().clone(), kept);
-        let indexes = self
-            .indexes
-            .iter()
-            .map(|ix| HashIndex::build(&rel, ix.key_cols().to_vec()))
+            .filter_map(|t| {
+                let h = edit.row_hash(t);
+                edit.find(h, t, |id| &stored[id]).map(|id| (h, id))
+            })
             .collect();
-        *self = Table {
-            indexes,
-            ..Table::new(rel)
-        };
-        removed
+        if doomed.is_empty() {
+            return Vec::new();
+        }
+        doomed.sort_unstable_by_key(|&(_, id)| id);
+        doomed.dedup_by_key(|&mut (_, id)| id);
+        let positions: Vec<usize> = doomed.iter().map(|&(_, id)| id).collect();
+        edit.count(&self.columns, positions.iter().copied(), false);
+        edit.remove(&doomed);
+        self.columns.remove_rows(&positions, &edit.distinct());
+        for ix in &mut self.indexes {
+            ix.remove_rows(&positions);
+        }
+        self.rel.remove_rows(&positions)
     }
 
     /// The underlying relation.
@@ -224,7 +384,7 @@ pub struct Storage {
     interner: Interner,
     /// `shards[s][i]` is the table with `RelId` `s * SHARD_SIZE + i`.
     /// All shards but the last are exactly `SHARD_SIZE` long.
-    shards: Vec<Vec<Table>>,
+    shards: Vec<Vec<Arc<Table>>>,
     /// Total registered tables (dense: ids `0..n_tables` are all live).
     n_tables: usize,
     epoch: u64,
@@ -266,7 +426,7 @@ impl Storage {
         let name = name.into();
         let id = self.interner.register_relation(&name, rel.schema());
         let i = id.index();
-        let table = Table::new(rel);
+        let table = Arc::new(Table::new(rel));
         if i == self.n_tables {
             if i >> SHARD_BITS == self.shards.len() {
                 self.shards.push(Vec::with_capacity(SHARD_SIZE));
@@ -277,7 +437,7 @@ impl Storage {
             self.shards[i >> SHARD_BITS][i & SHARD_MASK] = table;
         }
         self.epoch += 1;
-        &mut self.shards[i >> SHARD_BITS][i & SHARD_MASK]
+        Arc::make_mut(&mut self.shards[i >> SHARD_BITS][i & SHARD_MASK])
     }
 
     /// Append `rows` to `name`'s table in place, returning the novel
@@ -285,8 +445,10 @@ impl Storage {
     /// result can be empty) or `None` when the table is unknown or a
     /// row's arity doesn't fit its scheme. Unlike [`Storage::insert`],
     /// nothing is rebuilt: the columnar mirror, indexes, and exact
-    /// per-column distinct counts are all maintained O(|delta|). Bumps
-    /// the epoch only when something was stored.
+    /// per-column distinct counts are all maintained O(|delta|) (see
+    /// [`Table`]). A table still shared with a clone of this storage
+    /// is copied first; no other table is. Bumps the epoch only when
+    /// something was stored.
     pub fn append_rows(&mut self, name: &str, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
         let novel = self.get_named_mut(name)?.append_novel(rows)?;
         if !novel.is_empty() {
@@ -296,10 +458,14 @@ impl Storage {
     }
 
     /// Delete `rows` from `name`'s table, returning the rows actually
-    /// removed (rows not stored are ignored, so the result can be
-    /// empty) or `None` when the table is unknown. The table keeps its
-    /// indexes, rebuilt over the surviving rows. Bumps the epoch only
-    /// when something was removed.
+    /// removed in stored order (rows not stored are ignored, so the
+    /// result can be empty) or `None` when the table is unknown. The
+    /// doomed rows are found through the table's edit index in
+    /// O(|delta|) and removed in place: the survivors keep their order,
+    /// and the columnar mirror, the indexes and the edit index drop the
+    /// rows without a rebuild (see [`Table`]). A table still shared
+    /// with a clone of this storage is copied first; no other table is.
+    /// Bumps the epoch only when something was removed.
     pub fn delete_rows(&mut self, name: &str, rows: &[Tuple]) -> Option<Vec<Tuple>> {
         let removed = self.get_named_mut(name)?.remove_rows(rows);
         if !removed.is_empty() {
@@ -308,12 +474,14 @@ impl Storage {
         Some(removed)
     }
 
-    /// Name-keyed mutable table access for the in-place edit paths.
+    /// Name-keyed mutable table access for the in-place edit paths;
+    /// copies the table first while a clone of this storage shares it.
     fn get_named_mut(&mut self, name: &str) -> Option<&mut Table> {
         let i = self.interner.rel_id(name)?.index();
         self.shards
             .get_mut(i >> SHARD_BITS)
             .and_then(|s| s.get_mut(i & SHARD_MASK))
+            .map(Arc::make_mut)
     }
 
     /// The data epoch: incremented by every table insert or index
@@ -344,6 +512,7 @@ impl Storage {
         self.shards
             .get(i >> SHARD_BITS)
             .and_then(|s| s.get(i & SHARD_MASK))
+            .map(Arc::as_ref)
     }
 
     /// Number of registered tables (dense ids `0..n_tables()`).
@@ -357,7 +526,7 @@ impl Storage {
     /// contiguous runs of at most [`SHARD_SIZE`] ids, so bulk passes
     /// can fan out one worker per shard and cover every table exactly
     /// once with no coordination beyond the shard index.
-    pub fn shards(&self) -> impl Iterator<Item = (RelId, &[Table])> {
+    pub fn shards(&self) -> impl Iterator<Item = (RelId, &[Arc<Table>])> {
         self.shards
             .iter()
             .enumerate()
@@ -407,6 +576,7 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fro_algebra::Value;
 
     #[test]
     fn roundtrip_database() {
@@ -560,6 +730,127 @@ mod tests {
         let t = s.get_named("R").unwrap();
         assert_eq!(t.columns().value_at(1, 0), Value::str("x"));
         assert_eq!(t.columns().column(0).distinct(), 2);
+    }
+
+    fn int_row(k: i64, v: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(k), Value::Int(v)])
+    }
+
+    #[test]
+    fn edits_build_the_edit_index_once() {
+        let mut s = Storage::new();
+        let rows: Vec<&[i64]> = vec![&[1, 10], &[2, 20], &[3, 30]];
+        s.insert("R", Relation::from_ints("R", &["k", "v"], &rows));
+        assert!(s.create_index("R", &[Attr::parse("R.k")]));
+        let before = EDIT_INDEX_BUILDS.with(std::cell::Cell::get);
+        for i in 0..50 {
+            let row = int_row(100 + i, i);
+            assert_eq!(s.append_rows("R", vec![row.clone()]).unwrap().len(), 1);
+            assert_eq!(s.delete_rows("R", &[row]).unwrap().len(), 1);
+        }
+        assert_eq!(EDIT_INDEX_BUILDS.with(std::cell::Cell::get) - before, 1);
+        let t = s.get_named("R").unwrap();
+        assert_eq!(
+            t.relation().rows(),
+            Relation::from_ints("R", &["k", "v"], &rows).rows()
+        );
+        assert_eq!(t.index_on(&[0]).unwrap().lookup(&[Value::Int(3)]), &[2]);
+    }
+
+    #[test]
+    fn delete_rows_edits_in_place_like_a_rebuild() {
+        let mut s = Storage::new();
+        let rows: Vec<Vec<Value>> = (0..2500)
+            .map(|i| {
+                let v = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("s{}", i % 11))
+                };
+                vec![Value::Int(i % 300), v, Value::Int(i)]
+            })
+            .collect();
+        s.insert("R", Relation::from_values("R", &["k", "s", "i"], rows));
+        assert!(s.create_index("R", &[Attr::parse("R.k")]));
+        let stored = s.get_named("R").unwrap().relation().rows().to_vec();
+        // Absent, repeated and present rows, out of stored order.
+        let doomed = vec![
+            stored[2400].clone(),
+            int_row(-1, -1),
+            stored[3].clone(),
+            stored[1024].clone(),
+            stored[3].clone(),
+        ];
+        let removed = s.delete_rows("R", &doomed).unwrap();
+        assert_eq!(
+            removed,
+            [
+                stored[3].clone(),
+                stored[1024].clone(),
+                stored[2400].clone()
+            ]
+        );
+        let t = s.get_named("R").unwrap();
+        let mut want = Table::new(Relation::from_distinct_rows(
+            t.relation().schema().clone(),
+            stored
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| ![3, 1024, 2400].contains(i))
+                .map(|(_, r)| r.clone())
+                .collect(),
+        ));
+        assert!(want.create_index(&[Attr::parse("R.k")]));
+        assert_eq!(t.relation(), want.relation());
+        for c in 0..3 {
+            let (a, b) = (t.columns().column(c), want.columns().column(c));
+            assert_eq!(a.distinct(), b.distinct(), "col {c}");
+            assert_eq!(a.null_count(), b.null_count(), "col {c}");
+            let zones = |z: &[fro_algebra::column::Zone]| -> Vec<_> {
+                z.iter()
+                    .map(|z| (z.min_max().map(|(a, b)| (a.clone(), b.clone())), z.nulls()))
+                    .collect()
+            };
+            assert_eq!(zones(a.zones()), zones(b.zones()), "col {c}");
+        }
+        for k in [0, 3, 124, 299] {
+            let key = [Value::Int(k)];
+            assert_eq!(
+                t.index_on(&[0]).unwrap().lookup(&key),
+                want.index_on(&[0]).unwrap().lookup(&key)
+            );
+        }
+        assert!(t.contains(&stored[0]) && !t.contains(&stored[3]));
+    }
+
+    #[test]
+    fn colliding_row_hashes_resolve_against_the_row_store() {
+        let rows: Vec<Tuple> = (0..4).map(|i| int_row(i, i)).collect();
+        let mut ix = EditIndex {
+            hasher: RandomState::new(),
+            ids: HashMap::new(),
+            collided: Vec::new(),
+            counts: Vec::new(),
+            nulls: Vec::new(),
+        };
+        // Rows 0, 1 and 3 share one hash; row 2 has its own.
+        for (id, h) in [(0, 7), (1, 7), (2, 9), (3, 7)] {
+            ix.insert(h, id);
+        }
+        let at = |id: usize| &rows[id];
+        for (id, h) in [(0, 7), (1, 7), (2, 9), (3, 7)] {
+            assert_eq!(ix.find(h, &rows[id], at), Some(id));
+        }
+        assert_eq!(ix.find(7, &int_row(5, 5), at), None);
+        // Dropping the row `ids` holds for hash 7 promotes a collided
+        // one; the survivors renumber to 0, 1, 2.
+        ix.remove(&[(7, 0)]);
+        let rest = &rows[1..];
+        let at = |id: usize| &rest[id];
+        for (id, h) in [(0, 7), (1, 9), (2, 7)] {
+            assert_eq!(ix.find(h, &rest[id], at), Some(id));
+        }
+        assert_eq!(ix.find(7, &rows[0], at), None);
     }
 
     #[test]

@@ -67,6 +67,16 @@ echo "== text-query session properties =="
 # plain `cargo test` above; standalone so a failure names itself).
 cargo test -q --test text_session_property
 
+echo "== storage edit properties =="
+# Random append/delete interleavings (duplicates, nulls, unseen
+# strings, type changes, absent and repeated deletes), some under
+# pinned storage clones: after every step each table equals a fresh
+# Table::new over the same rows with the same indexes on every
+# observable, and each pinned clone still holds what it held (also
+# covered by the plain `cargo test` above; standalone so a failure
+# names itself).
+cargo test -q --test storage_edit_property
+
 echo "== benchmark self-test (perfbench, tiny scale) =="
 # The benchmark builds against the library's public API; its self-test
 # checks every declared metric is emitted and that a wrong result or a

@@ -743,6 +743,33 @@ mod tests {
     }
 
     #[test]
+    fn a_noop_edit_keeps_ground_stamps() {
+        let src = MIX[0];
+        let s = Session::from_entity_db(paper_world());
+        let before = s.query(src).unwrap().run().unwrap();
+        let existing = {
+            let storage = s.storage();
+            let id = storage.rel_id("EMPLOYEE").unwrap();
+            storage.get_by_id(id).unwrap().relation().rows()[0].clone()
+        };
+        let pinned = s.shared().snapshot();
+        // A duplicate append and an empty delete change no row.
+        assert!(s.append_rows("EMPLOYEE", vec![existing]));
+        let read = s.shared().ground_rows_materialized();
+        assert_eq!(s.query(src).unwrap().run().unwrap(), before);
+        let after_append = s.shared().ground_rows_materialized() - read;
+        assert!(s.delete_rows("EMPLOYEE", &[]));
+        let read = s.shared().ground_rows_materialized();
+        assert_eq!(s.query(src).unwrap().run().unwrap(), before);
+        let after_delete = s.shared().ground_rows_materialized() - read;
+        assert_eq!((after_append, after_delete), (0, 0), "rows re-read");
+        assert!(
+            std::sync::Arc::ptr_eq(&pinned, &s.shared().snapshot()),
+            "no generation published"
+        );
+    }
+
+    #[test]
     fn lang_query_surfaces_parse_errors_with_codes() {
         let s = Session::from_entity_db(paper_world());
         let e = s.query("From nothing").unwrap_err();

@@ -25,9 +25,10 @@
 //! every [`SharedDb::mutate`] bumps the generation. The front doors
 //! that know which tables they rewrite (table loads, appends, deletes,
 //! index and statistics changes) carry every other stamp over to the
-//! new generation; a raw `mutate` carries none. A text query whose
-//! aliases are all stamped for its model at the current generation
-//! plans on that snapshot without reading a row.
+//! new generation; a raw `mutate` carries none. An append or delete
+//! that changes no row publishes no generation at all. A text query
+//! whose aliases are all stamped for its model at the current
+//! generation plans on that snapshot without reading a row.
 //!
 //! [`Session`]: crate::Session
 
@@ -38,7 +39,7 @@ use fro_exec::{ExecStats, RowDelta, Storage, Table};
 use fro_lang::{EntityDb, Ground, LangError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard, Weak};
 
 /// One immutable generation of the database: catalog + storage,
 /// derived together so ids, statistics and stored rows always agree.
@@ -231,15 +232,27 @@ impl SharedDb {
         touched: Option<&[String]>,
         f: impl FnOnce(&mut DbState) -> R,
     ) -> (R, Arc<DbState>) {
-        let mut guard = self.state.write().expect("shared db lock never poisoned");
+        let mut guard = self.state_write();
         // Clone-on-write: outstanding snapshot holders keep the old
         // generation; we mutate a fresh copy (or in place when nobody
-        // else holds the Arc) and publish it on unlock.
-        let state = Arc::make_mut(&mut guard);
-        let out = f(state);
+        // else holds the Arc) and publish it on unlock. The copy shares
+        // every table with the old generation until `f` edits one.
+        let out = f(Arc::make_mut(&mut guard));
+        (out, self.publish(&mut guard, touched))
+    }
+
+    /// Make the state under `guard`, already edited, the next
+    /// generation, carrying the ground stamps of tables outside
+    /// `touched`.
+    fn publish(&self, guard: &mut Arc<DbState>, touched: Option<&[String]>) -> Arc<DbState> {
+        let state = Arc::make_mut(guard);
         state.generation += 1;
         self.stamps_lock().carry(state.generation, touched);
-        (out, Arc::clone(&guard))
+        Arc::clone(guard)
+    }
+
+    fn state_write(&self) -> RwLockWriteGuard<'_, Arc<DbState>> {
+        self.state.write().expect("shared db lock never poisoned")
     }
 
     fn stamps_lock(&self) -> MutexGuard<'_, Stamps> {
@@ -369,10 +382,15 @@ impl SharedDb {
     /// [`SharedDb::append_rows`] plus the maintenance work it
     /// triggered, so session handles can attribute their share.
     pub(crate) fn append_rows_traced(&self, name: &str, rows: Vec<Tuple>) -> (bool, ExecStats) {
+        let changes = |table: &Table, rows: &Vec<Tuple>| {
+            let width = table.relation().schema().len();
+            let fits = rows.iter().all(|t| t.arity() == width);
+            fits.then(|| rows.iter().any(|t| !table.contains(t)))
+        };
         // O(|delta|) storage path: the table's row store, columnar
         // mirror, indexes, and exact distinct counts are extended in
         // place — no rebuild, no re-dedup of the base.
-        self.edit_rows(name, |storage| {
+        self.edit_rows(name, rows, changes, |storage, rows| {
             storage.append_rows(name, rows).map(RowDelta::from_inserts)
         })
     }
@@ -391,42 +409,55 @@ impl SharedDb {
     /// [`SharedDb::delete_rows`] plus the maintenance work it
     /// triggered.
     pub(crate) fn delete_rows_traced(&self, name: &str, rows: &[Tuple]) -> (bool, ExecStats) {
-        self.edit_rows(name, |storage| {
+        let changes = |table: &Table, rows: &&[Tuple]| Some(rows.iter().any(|t| table.contains(t)));
+        self.edit_rows(name, rows, changes, |storage, rows| {
             storage.delete_rows(name, rows).map(RowDelta::from_deletes)
         })
     }
 
-    /// The one row-edit path behind appends and deletes: under the
-    /// registry lock, apply `edit` to storage; when it changed rows,
-    /// refresh the table's statistics quietly, bump its row epoch, and
-    /// fan the delta out to the standing views. An edit that changed
-    /// nothing keeps every epoch as it was. Returns `false` (doing
-    /// nothing) when `edit` found no such table.
-    fn edit_rows(
+    /// The one row-edit path behind appends and deletes of `rows`.
+    /// Under the registry lock and the write lock, `changes` first
+    /// looks at the current table: `None` refuses the edit (so does an
+    /// unknown table), and `Some(false)`, an edit that would change no
+    /// row, returns at once: it publishes no generation and copies
+    /// nothing, so every epoch and ground stamp stays as it was. Otherwise
+    /// `edit` runs on storage, the table's statistics refresh quietly,
+    /// its row epoch bumps, and the delta fans out to the standing
+    /// views. Returns `false` when the edit was refused.
+    fn edit_rows<Rows>(
         &self,
         name: &str,
-        edit: impl FnOnce(&mut Storage) -> Option<RowDelta>,
+        rows: Rows,
+        changes: impl FnOnce(&Table, &Rows) -> Option<bool>,
+        edit: impl FnOnce(&mut Storage, Rows) -> Option<RowDelta>,
     ) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
-        let delta = self.mutate_tables(&[name.to_owned()], |catalog, storage| {
-            let delta = edit(storage)?;
-            if !delta.is_empty() {
-                let table = storage
-                    .rel_id(name)
-                    .and_then(|id| storage.get_by_id(id))
-                    .expect("table exists: its rows were just edited");
-                refresh_stats_quiet(catalog, name, table);
-                catalog.bump_row_epoch(name);
-            }
-            Some(delta)
-        });
-        match delta {
-            None => (false, ExecStats::new()),
-            Some(d) => {
-                let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
-                (true, stats)
-            }
+        let mut guard = self.state_write();
+        let storage = &guard.storage;
+        match storage
+            .rel_id(name)
+            .and_then(|id| storage.get_by_id(id))
+            .and_then(|table| changes(table, &rows))
+        {
+            None => return (false, ExecStats::new()),
+            Some(false) => return (true, ExecStats::new()),
+            Some(true) => {}
         }
+        let state = Arc::make_mut(&mut guard);
+        let delta =
+            edit(&mut state.storage, rows).expect("the probe saw the table and the rows fit");
+        debug_assert!(!delta.is_empty(), "the probe saw a changing edit");
+        let table = state
+            .storage
+            .rel_id(name)
+            .and_then(|id| state.storage.get_by_id(id))
+            .expect("table exists: its rows were just edited");
+        refresh_stats_quiet(&mut state.catalog, name, table);
+        state.catalog.bump_row_epoch(name);
+        self.publish(&mut guard, Some(&[name.to_owned()]));
+        drop(guard);
+        let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &delta);
+        (true, stats)
     }
 
     /// The standing-query registry, for the maintenance code in
@@ -554,6 +585,32 @@ mod tests {
         // The plan still uses the dimension indexes, which must exist.
         let rows = session.prepare(&q).unwrap().run().unwrap();
         assert_eq!(rows.len(), 48);
+    }
+
+    #[test]
+    fn an_append_under_a_pinned_snapshot_copies_only_its_table() {
+        use fro_testkit::workloads::{star, star5_skew};
+        let (storage, _, _) = star(&star5_skew());
+        let db = SharedDb::from_storage(storage);
+        let pinned = db.snapshot();
+        let f = pinned.storage().rel_id("F").unwrap();
+        let f_rows = pinned.storage().get_by_id(f).unwrap().relation().clone();
+        let row = Tuple::new(vec![Value::Int(-7); f_rows.schema().len()]);
+        assert!(db.append_rows("F", vec![row]));
+        let next = db.snapshot();
+        assert!(next.generation > pinned.generation);
+        let (old, new) = (pinned.storage(), next.storage());
+        for i in 0..old.n_tables() {
+            let id = fro_algebra::RelId::from_index(i);
+            let shared = std::ptr::eq(old.get_by_id(id).unwrap(), new.get_by_id(id).unwrap());
+            assert_eq!(shared, id != f, "table {}", old.interner().rel_name(id));
+        }
+        assert_eq!(
+            old.get_by_id(f).unwrap().relation(),
+            &f_rows,
+            "pinned F unchanged"
+        );
+        assert_eq!(new.get_by_id(f).unwrap().len(), f_rows.len() + 1);
     }
 
     #[test]
